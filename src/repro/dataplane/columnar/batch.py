@@ -29,7 +29,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from ...net.headers import ETH_LEN, UDP_LEN, VXLAN_LEN
-from ...net.packet import Packet, _ip_len, _l4_len
+from ...net.packet import Packet
 from .backend import resolve_backend
 
 #: Fixed wire bytes of a VXLAN packet outside the two IP headers, the
@@ -101,14 +101,20 @@ class PacketBatch:
             vni = vx.vni
             dst = iip.dst
             keys_append((vni, dst, iip.version))
-            sizes_append(_VXLAN_FIXED_LEN + _ip_len(p.ip) + _ip_len(iip)
-                         + _l4_len(l4) + len(inner.payload))
+            size = (_VXLAN_FIXED_LEN + p.ip.WIRE_LEN + iip.WIRE_LEN
+                    + len(inner.payload))
             vnis.append(vni)
             srcs.append(iip.src)
             dsts.append(dst)
             protos.append(iip.proto)
-            sports.append(l4.src_port if l4 is not None else 0)
-            dports.append(l4.dst_port if l4 is not None else 0)
+            if l4 is None:
+                sports.append(0)
+                dports.append(0)
+            else:
+                size += l4.WIRE_LEN
+                sports.append(l4.src_port)
+                dports.append(l4.dst_port)
+            sizes_append(size)
             is_vx.append(True)
         self.keys = keys
         self.sizes = sizes

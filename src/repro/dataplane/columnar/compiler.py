@@ -49,7 +49,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from ...net.headers import VXLAN
+from ...net.headers import VXLAN, unchecked
 from ...net.packet import Packet
 from ...tables.acl import AclVerdict
 from ...tables.errors import MissingEntryError
@@ -87,6 +87,10 @@ _FATE_DETAILS = {
 #: to bytes exactly as :attr:`repro.tofino.phv.Bridge.wire_overhead_bytes`.
 _BRIDGE1_BYTES = (24 + 3 + 7) // 8
 _BRIDGE23_BYTES = (24 + 3 + 32 + 7) // 8
+
+
+#: ForwardResult has no __post_init__; KeyDecision.build makes one per lane.
+_result = unchecked(ForwardResult)
 
 
 class KeyDecision:
@@ -143,22 +147,17 @@ class KeyDecision:
                         self.vx_flags = flags
                         self.vx_out = new_vx
                     vxlan = new_vx
-            out = Packet(eth=packet.eth, ip=new_ip, l4=packet.l4,
-                         vxlan=vxlan, inner=packet.inner,
-                         payload=packet.payload)
+            out = packet.with_outer(new_ip, vxlan)
             if hw:
-                result = ForwardResult(action, out, detail="local",
-                                       nc_ip=self.nc_ip)
+                result = _result(action, out, "local", None, self.nc_ip)
             else:
-                result = ForwardResult(action, out, detail=self.detail,
-                                       resolved_vni=self.resolved_vni,
-                                       nc_ip=self.nc_ip)
+                result = _result(action, out, self.detail, self.resolved_vni,
+                                 self.nc_ip)
         elif hw:
-            result = ForwardResult(action, packet, detail=self.detail)
+            result = _result(action, packet, self.detail, None, None)
         else:
-            result = ForwardResult(action, packet, detail=self.detail,
-                                   resolved_vni=self.resolved_vni,
-                                   nc_ip=self.nc_ip)
+            result = _result(action, packet, self.detail, self.resolved_vni,
+                             self.nc_ip)
         if self.proto_packet is None:
             self.proto_packet = packet
             self.proto_result = result

@@ -43,7 +43,7 @@ from collections import OrderedDict
 from typing import Optional, Tuple
 
 from ..net.headers import VXLAN
-from ..net.packet import Packet, _ip_len, _l4_len
+from ..net.packet import Packet
 from ..tables.acl import AclVerdict
 from ..tables.meter import MeterColor
 from .gateway_logic import (
@@ -320,8 +320,10 @@ def forward_cached_batch(
         move_to_end(key)
         hits += 1
         # == packet.wire_length(), with the VXLAN-invariant parts folded.
-        size = (_VXLAN_FIXED_LEN + _ip_len(packet.ip) + _ip_len(inner_ip)
-                + _l4_len(inner.l4) + len(inner.payload))
+        inner_l4 = inner.l4
+        size = (_VXLAN_FIXED_LEN + packet.ip.WIRE_LEN + inner_ip.WIRE_LEN
+                + (inner_l4.WIRE_LEN if inner_l4 is not None else 0)
+                + len(inner.payload))
         acc = counts.get(vni)
         if acc is None:
             counts[vni] = [1, size]
@@ -353,9 +355,8 @@ def forward_cached_batch(
                 vx = entry.vx_out
             else:
                 vx = VXLAN(vni=entry.rewrite_vni, flags=vxlan.flags)
-            out = Packet(eth=packet.eth, ip=new_ip, l4=packet.l4,
-                         vxlan=vx, inner=inner, payload=packet.payload)
-            append(ForwardResult(action, out, detail=entry.detail,
+            append(ForwardResult(action, packet.with_outer(new_ip, vx),
+                                 detail=entry.detail,
                                  resolved_vni=entry.resolved_vni,
                                  nc_ip=entry.nc_ip))
         else:

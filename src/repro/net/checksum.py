@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from struct import unpack
+
 
 def internet_checksum(data: bytes) -> int:
     """Compute the 16-bit one's-complement internet checksum of *data*.
@@ -12,10 +14,8 @@ def internet_checksum(data: bytes) -> int:
     True
     """
     if len(data) % 2:
-        data = data + b"\x00"
-    total = 0
-    for i in range(0, len(data), 2):
-        total += (data[i] << 8) | data[i + 1]
+        data = bytes(data) + b"\x00"
+    total = sum(unpack(f"!{len(data) // 2}H", data))
     while total > 0xFFFF:
         total = (total & 0xFFFF) + (total >> 16)
     return (~total) & 0xFFFF

@@ -13,6 +13,7 @@ from repro.net.headers import (
     PROTO_UDP,
     TCP,
     UDP,
+    VXLAN,
     VXLAN_PORT,
 )
 from repro.net.packet import InnerFrame, Packet
@@ -97,6 +98,22 @@ class TestVxlanPacket:
                        l4=UDP(1, 2), payload=b"x")
         with pytest.raises(HeaderError):
             plain.with_vni(3)
+
+    def test_with_outer_is_the_single_copy_behind_every_rewrite(self):
+        packet = make_vxlan(vni=1)
+        ip = packet.ip.replace_src_dst(7, 8)
+        vxlan = VXLAN(vni=9)
+        out = packet.with_outer(ip, vxlan)
+        assert out == packet.with_vni(9).with_outer_src(7).with_outer_dst(8)
+        assert out == packet.rewritten(7, 8, vni=9)
+        assert out.inner is packet.inner and out.l4 is packet.l4
+        plain = packet.decap()
+        assert plain.with_outer(plain.ip, None) == plain
+        # The one invariant the copy could break is checked.
+        with pytest.raises(ValueError):
+            packet.with_outer(ip, None)
+        with pytest.raises(ValueError):
+            plain.with_outer(plain.ip, vxlan)
 
     def test_decap(self):
         packet = make_vxlan()
