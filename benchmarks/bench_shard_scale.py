@@ -59,6 +59,10 @@ class _NullRouting:
     def items():
         return ()
 
+    @staticmethod
+    def get(vni, prefix):
+        return None
+
 
 class _NullVmNc:
     @staticmethod

@@ -22,9 +22,10 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional,
+                    Sequence, Set, Tuple, Union)
 
-from ..cluster.cluster import GatewayCluster, Member, NodeState
+from ..cluster.cluster import GatewayCluster, NodeState
 from ..cluster.ecmp import VniSteeredBalancer
 from ..dataplane.gateway_logic import ForwardAction
 from ..net.addr import Prefix
@@ -102,6 +103,49 @@ class TransactionAborted(TableError):
     member was rolled back, so no entry of the batch is visible anywhere."""
 
 
+class StagedOp(NamedTuple):
+    """One staged transaction op, decoded once.
+
+    *payload* is what the ``txn`` journal record carries for the op, byte
+    for byte; *key* and *value* are the objects it was built from —
+    the desired-state key ``(vni, Prefix)`` or ``(vni, vm_ip, version)``
+    and the ``RouteAction``/``NcBinding`` to install, None for a remove.
+    Validation, prepare, undo and commit read the typed fields; only
+    journal replay parses payloads back.
+    """
+
+    payload: dict
+    is_route: bool
+    key: tuple
+    value: Union[RouteAction, NcBinding, None]
+
+    @classmethod
+    def install_route(cls, cluster_id: str, route: RouteEntry) -> "StagedOp":
+        return cls({"op": "install-route", "cluster": cluster_id,
+                    "vni": route.vni, "prefix": str(route.prefix),
+                    "action": encode_action(route.action)},
+                   True, (route.vni, route.prefix), route.action)
+
+    @classmethod
+    def remove_route(cls, cluster_id: str, vni: int, prefix: Prefix) -> "StagedOp":
+        return cls({"op": "remove-route", "cluster": cluster_id,
+                    "vni": vni, "prefix": str(prefix)}, True, (vni, prefix), None)
+
+    @classmethod
+    def install_vm(cls, cluster_id: str, vm: VmEntry) -> "StagedOp":
+        return cls({"op": "install-vm", "cluster": cluster_id,
+                    "vni": vm.vni, "vm_ip": vm.vm_ip, "vm_version": vm.version,
+                    "binding": encode_binding(vm.binding)},
+                   False, (vm.vni, vm.vm_ip, vm.version), vm.binding)
+
+    @classmethod
+    def remove_vm(cls, cluster_id: str, vni: int, vm_ip: int,
+                  version: int) -> "StagedOp":
+        return cls({"op": "remove-vm", "cluster": cluster_id, "vni": vni,
+                    "vm_ip": vm_ip, "vm_version": version},
+                   False, (vni, vm_ip, version), None)
+
+
 @dataclass
 class Transaction:
     """A staged batch of table mutations against one cluster.
@@ -112,7 +156,7 @@ class Transaction:
     """
 
     cluster_id: str
-    ops: List[dict] = field(default_factory=list)
+    ops: List[StagedOp] = field(default_factory=list)
     side_effects: List[tuple] = field(default_factory=list)
 
     def stage_side_effect(self, label: str, apply: Callable[[], None],
@@ -125,24 +169,17 @@ class Transaction:
         crash-recovered controller simply never ran them."""
         self.side_effects.append((label, apply, undo))
 
-    def install_route(self, route: "RouteEntry") -> None:
-        self.ops.append({"op": "install-route", "cluster": self.cluster_id,
-                         "vni": route.vni, "prefix": str(route.prefix),
-                         "action": encode_action(route.action)})
+    def install_route(self, route: RouteEntry) -> None:
+        self.ops.append(StagedOp.install_route(self.cluster_id, route))
 
     def remove_route(self, vni: int, prefix: Prefix) -> None:
-        self.ops.append({"op": "remove-route", "cluster": self.cluster_id,
-                         "vni": vni, "prefix": str(prefix)})
+        self.ops.append(StagedOp.remove_route(self.cluster_id, vni, prefix))
 
-    def install_vm(self, vm: "VmEntry") -> None:
-        self.ops.append({"op": "install-vm", "cluster": self.cluster_id,
-                         "vni": vm.vni, "vm_ip": vm.vm_ip,
-                         "vm_version": vm.version,
-                         "binding": encode_binding(vm.binding)})
+    def install_vm(self, vm: VmEntry) -> None:
+        self.ops.append(StagedOp.install_vm(self.cluster_id, vm))
 
     def remove_vm(self, vni: int, vm_ip: int, version: int) -> None:
-        self.ops.append({"op": "remove-vm", "cluster": self.cluster_id,
-                         "vni": vni, "vm_ip": vm_ip, "vm_version": version})
+        self.ops.append(StagedOp.remove_vm(self.cluster_id, vni, vm_ip, version))
 
 
 class Controller:
@@ -561,39 +598,29 @@ class Controller:
             if not bucket:
                 del index[cluster_id][vni]
 
-    def _apply_committed_op(self, cluster_id: str, op: dict) -> None:
-        """Fold one prepared transaction op into the desired state (and
-        the per-tenant key index). Called once the op is safely on every
-        member — by the single-cluster commit path and by the cross-shard
-        completion path (``repro.shard``)."""
-        if op["op"] == "install-route":
-            vni, prefix = op["vni"], Prefix.parse(op["prefix"])
-            self._routes[cluster_id][(vni, prefix)] = decode_action(op["action"])
-            self._route_index[cluster_id].setdefault(vni, set()).add(prefix)
-        elif op["op"] == "remove-route":
-            vni, prefix = op["vni"], Prefix.parse(op["prefix"])
-            del self._routes[cluster_id][(vni, prefix)]
-            self._index_discard(self._route_index, cluster_id, vni, prefix)
-        elif op["op"] == "install-vm":
-            vni, vm_ip, version = op["vni"], op["vm_ip"], op["vm_version"]
-            self._vms[cluster_id][(vni, vm_ip, version)] = \
-                decode_binding(op["binding"])
-            self._vm_index[cluster_id].setdefault(vni, set()).add((vm_ip, version))
-        elif op["op"] == "remove-vm":
-            vni, vm_ip, version = op["vni"], op["vm_ip"], op["vm_version"]
-            del self._vms[cluster_id][(vni, vm_ip, version)]
-            self._index_discard(self._vm_index, cluster_id, vni, (vm_ip, version))
-        else:  # pragma: no cover - Transaction only stages the four ops
-            raise TableError(f"unknown transaction op {op['op']!r}")
+    def _apply_committed_op(self, cluster_id: str, op: StagedOp) -> None:
+        """Fold one prepared op into the desired state (and the
+        per-tenant key index) once it is safely on every member."""
+        key = op.key
+        if op.is_route:
+            entries, index, member = self._routes, self._route_index, key[1]
+        else:
+            entries, index, member = self._vms, self._vm_index, key[1:]
+        if op.value is None:
+            del entries[cluster_id][key]
+            self._index_discard(index, cluster_id, key[0], member)
+        else:
+            entries[cluster_id][key] = op.value
+            index[cluster_id].setdefault(key[0], set()).add(member)
 
-    def _stage_prev(self, cluster_id: str, op: dict):
-        """The desired-state value an op will overwrite/remove (for
-        validation; per-member undo uses each gateway's own state)."""
-        if op["op"].endswith("-route"):
-            key = (op["vni"], Prefix.parse(op["prefix"]))
-            return self._routes.get(cluster_id, {}).get(key)
-        key = (op["vni"], op["vm_ip"], op["vm_version"])
-        return self._vms.get(cluster_id, {}).get(key)
+    def _check_removals(self, cluster_id: str, ops: Sequence[StagedOp]) -> None:
+        """Reject a batch that removes an entry the desired state does
+        not hold — before any journalling or gateway write."""
+        routes = self._routes.get(cluster_id, {})
+        vms = self._vms.get(cluster_id, {})
+        for op in ops:
+            if op.value is None and op.key not in (routes if op.is_route else vms):
+                raise TableError(f"transaction removes unknown entry: {op.payload}")
 
     @staticmethod
     def _vm_lookup(gw, vni: int, vm_ip: int, version: int):
@@ -605,113 +632,112 @@ class Controller:
             table = gw.tables.vm_nc
         return table.lookup(vni, vm_ip, version)
 
-    def _apply_op_to_gateway(self, gw, op: dict, undo: List[Callable[[], None]]) -> None:
-        """Prepare one op on one gateway, pushing its inverse onto *undo*."""
-        if op["op"] == "install-route":
-            vni, prefix = op["vni"], Prefix.parse(op["prefix"])
-            action = decode_action(op["action"])
-            prev = next((a for v, p, a in gw.tables.routing.items()
-                         if v == vni and p == prefix), None)
-            gw.install_route(vni, prefix, action, replace=True)
+    def _apply_op_to_gateway(self, gw, cluster_id: str, op: StagedOp,
+                             undo: List[Callable[[], None]]) -> None:
+        """Prepare one op on one gateway, pushing its inverse onto *undo*.
+        Pre-images are keyed reads — O(key length), never a table walk."""
+        key, value = op.key, op.value
+        if op.is_route:
+            vni, prefix = key
+            if value is None:
+                prev = self._routes[cluster_id][key]
+                gw.remove_route(vni, prefix)
+            else:
+                prev = gw.tables.routing.get(vni, prefix)
+                gw.install_route(vni, prefix, value, replace=True)
             if prev is None:
                 undo.append(lambda: gw.remove_route(vni, prefix))
             else:
                 undo.append(lambda: gw.install_route(vni, prefix, prev, replace=True))
-        elif op["op"] == "remove-route":
-            vni, prefix = op["vni"], Prefix.parse(op["prefix"])
-            prev = self._routes[op["cluster"]][(vni, prefix)]
-            gw.remove_route(vni, prefix)
-            undo.append(lambda: gw.install_route(vni, prefix, prev, replace=True))
-        elif op["op"] == "install-vm":
-            vni, vm_ip, version = op["vni"], op["vm_ip"], op["vm_version"]
-            binding = decode_binding(op["binding"])
-            prev = self._vm_lookup(gw, vni, vm_ip, version)
-            gw.install_vm(vni, vm_ip, version, binding, replace=True)
+        else:
+            vni, vm_ip, version = key
+            if value is None:
+                prev = self._vms[cluster_id][key]
+                gw.remove_vm(vni, vm_ip, version)
+            else:
+                prev = self._vm_lookup(gw, vni, vm_ip, version)
+                gw.install_vm(vni, vm_ip, version, value, replace=True)
             if prev is None:
                 undo.append(lambda: gw.remove_vm(vni, vm_ip, version))
             else:
                 undo.append(lambda: gw.install_vm(vni, vm_ip, version, prev, replace=True))
-        elif op["op"] == "remove-vm":
-            vni, vm_ip, version = op["vni"], op["vm_ip"], op["vm_version"]
-            prev = self._vms[op["cluster"]][(vni, vm_ip, version)]
-            gw.remove_vm(vni, vm_ip, version)
-            undo.append(lambda: gw.install_vm(vni, vm_ip, version, prev, replace=True))
-        else:  # pragma: no cover - Transaction only stages the four ops
-            raise TableError(f"unknown transaction op {op['op']!r}")
+
+    # The prepare/unwind engine: the three phases every two-phase push is
+    # made of, shared by ``transaction`` and the cross-shard 2PC
+    # (``repro.shard``), which differ only in where the journal markers
+    # and crash points sit between them.
+
+    def _prepare(self, cluster_id: str, ops: Sequence[StagedOp],
+                 undo: List[Callable[[], None]]) -> Optional[TableError]:
+        """Phase 1: apply the batch member by member (hot backup
+        included), pushing each write's inverse onto *undo*. Returns the
+        :class:`TableError` that stopped it, or None when every member
+        holds the whole batch."""
+        try:
+            for member in self.clusters[cluster_id].all_members():
+                for op in ops:
+                    self._apply_op_to_gateway(member.gateway, cluster_id, op, undo)
+        except TableError as exc:
+            return exc
+        return None
+
+    def _abort_prepared(self, record, undo: List[Callable[[], None]]) -> None:
+        """Unwind, newest write first, everything a failed batch did,
+        then journal its ``txn-abort`` marker. Best effort: residue of a
+        failing undo is visible to the reconcile loop, which repairs it."""
+        for action in reversed(undo):
+            try:
+                action()
+            except TableError:
+                self.counters.add("txn_rollback_failures")
+        if record is not None:
+            self._journal_append("txn-abort", {"txn_seq": record.seq})
+        self.counters.add("txns_aborted")
+
+    def _complete_prepared(self, cluster_id: str, ops: Sequence[StagedOp],
+                           record, time: float) -> None:
+        """Phase 2: the batch is on every member; mark the journal record
+        committed and make the batch the desired state."""
+        if record is not None:
+            self._journal_append("txn-commit", {"txn_seq": record.seq})
+        for op in ops:
+            self._apply_committed_op(cluster_id, op)
+        self.counters.add("txns_committed")
+        self.version += 1
+        self._record_size(cluster_id, time)
 
     def _commit_transaction(self, cluster_id: str, txn: Transaction,
                             time: float) -> None:
-        cluster = self._ensure_cluster(cluster_id)
+        self._ensure_cluster(cluster_id)
         if not txn.ops and not txn.side_effects:
             return
-        # Validate removals against desired state up front, before any
-        # journalling or gateway write.
-        for op in txn.ops:
-            if op["op"].startswith("remove-") and self._stage_prev(cluster_id, op) is None:
-                raise TableError(f"transaction removes unknown entry: {op}")
+        self._check_removals(cluster_id, txn.ops)
         record = None
         if txn.ops:
-            record = self._journal_append("txn", {"cluster": cluster_id,
-                                                  "ops": list(txn.ops)})
+            record = self._journal_append(
+                "txn", {"cluster": cluster_id,
+                        "ops": [op.payload for op in txn.ops]})
             self._crash_point("txn", cluster_id)
-        # Phase 1 — prepare: apply the whole batch member by member,
-        # keeping per-member undo logs.
-        prepared: List[Tuple[Member, List[Callable[[], None]]]] = []
-        failure: Optional[TableError] = None
-        for member in cluster.all_members():
-            if not txn.ops:
-                break
-            undo: List[Callable[[], None]] = []
-            prepared.append((member, undo))
-            try:
-                for op in txn.ops:
-                    self._apply_op_to_gateway(member.gateway, op, undo)
-            except TableError as exc:
-                failure = exc
-                break
-        # Side effects run once every member holds the batch, still
-        # inside the abort envelope: a failing effect unwinds the
-        # already-applied effects and every prepared member.
-        applied_effects: List[Tuple[str, Callable[[], None]]] = []
+        undo: List[Callable[[], None]] = []
+        failure = self._prepare(cluster_id, txn.ops, undo)
         if failure is None:
-            for label, apply_effect, undo_effect in txn.side_effects:
+            # Side effects run once every member holds the batch, still
+            # inside the abort envelope: their undos join the same log,
+            # so a failing effect unwinds the effects already applied
+            # and then every prepared member.
+            for _label, apply_effect, undo_effect in txn.side_effects:
                 try:
                     apply_effect()
                 except TableError as exc:
                     failure = exc
                     break
-                applied_effects.append((label, undo_effect))
+                undo.append(undo_effect)
         if failure is not None:
-            # Abort: unwind every effect and member that saw any part of
-            # the batch.
-            for _label, undo_effect in reversed(applied_effects):
-                try:
-                    undo_effect()
-                except TableError:
-                    self.counters.add("txn_rollback_failures")
-            for member, undo in reversed(prepared):
-                for action in reversed(undo):
-                    try:
-                        action()
-                    except TableError:
-                        # Best effort — residue is visible to the
-                        # reconcile loop, which will repair it.
-                        self.counters.add("txn_rollback_failures")
-            if record is not None:
-                self._journal_append("txn-abort", {"txn_seq": record.seq})
-            self.counters.add("txns_aborted")
+            self._abort_prepared(record, undo)
             raise TransactionAborted(
                 f"transaction on {cluster_id} aborted: {failure}"
             ) from failure
-        # Phase 2 — commit: the batch is on every member; make it the
-        # desired state and mark the journal record committed.
-        for op in txn.ops:
-            self._apply_committed_op(cluster_id, op)
-        if record is not None:
-            self._journal_append("txn-commit", {"txn_seq": record.seq})
-        self.counters.add("txns_committed")
-        self.version += 1
-        self._record_size(cluster_id, time)
+        self._complete_prepared(cluster_id, txn.ops, record, time)
 
     # -- consistency ------------------------------------------------------------
 

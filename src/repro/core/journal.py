@@ -241,7 +241,10 @@ class Journal:
         self.segments: List[Segment] = [Segment(0)]
         self.next_seq = 0
         self.snapshot_seq = -1
-        self.snapshot_state: Optional[dict] = None
+        #: The latest snapshot as its canonical JSON text: immutable, so
+        #: holding the text *is* holding a deep copy, and every reader
+        #: (`materialize`, `dump`, `snapshot_bytes`) starts from it.
+        self._snapshot_text: Optional[str] = None
         self.appends = 0
         self.rotations = 0
         self.snapshots = 0
@@ -270,8 +273,7 @@ class Journal:
         """Record the materialised intent at the current seq and prune
         every segment wholly covered by it (snapshot + tail stays
         equivalent to a genesis replay)."""
-        # Round-trip through JSON so the snapshot is a deep, canonical copy.
-        self.snapshot_state = json.loads(canonical_json(state))
+        self._snapshot_text = canonical_json(state)
         self.snapshot_seq = self.next_seq - 1
         kept = [s for s in self.segments if s.last_seq > self.snapshot_seq]
         if not kept:
@@ -284,6 +286,14 @@ class Journal:
     @property
     def last_seq(self) -> int:
         return self.next_seq - 1
+
+    @property
+    def snapshot_state(self) -> Optional[dict]:
+        """The latest snapshot decoded into a fresh intent store (None
+        before the first one); mutating it never touches the journal."""
+        if self._snapshot_text is None:
+            return None
+        return json.loads(self._snapshot_text)
 
     def records(self, after_seq: Optional[int] = None) -> List[JournalRecord]:
         """Decode the records with ``seq > after_seq`` (default: the tail
@@ -304,8 +314,9 @@ class Journal:
         aborted or unterminated (crashed mid-push) transactions are
         skipped entirely.
         """
-        state = (json.loads(canonical_json(self.snapshot_state))
-                 if self.snapshot_state is not None else empty_state())
+        state = self.snapshot_state
+        if state is None:
+            state = empty_state()
         staged: Dict[int, JournalRecord] = {}
         replayed = 0
         for record in self.records():
@@ -383,9 +394,8 @@ class Journal:
     def snapshot_bytes(self) -> int:
         """Canonical size of the latest snapshot (0 before the first one)
         — the bytes a snapshot "covers" in place of pruned segments."""
-        if self.snapshot_state is None:
-            return 0
-        return len(canonical_json(self.snapshot_state).encode("utf-8"))
+        # The held text is ASCII (canonical_json escapes), so chars == bytes.
+        return len(self._snapshot_text or "")
 
     def telemetry(self) -> dict:
         """The compaction counters an operator (or the shard bench)
@@ -455,9 +465,7 @@ class Journal:
         """Serialise the whole journal to canonical bytes — equal seeds
         and equal operation sequences produce equal dumps."""
         out = bytearray()
-        snap = (canonical_json(self.snapshot_state)
-                if self.snapshot_state is not None else "")
-        header = f"SNAP|{self.snapshot_seq}|{snap}"
+        header = f"SNAP|{self.snapshot_seq}|{self._snapshot_text or ''}"
         crc = zlib.crc32(header.encode("utf-8")) & 0xFFFFFFFF
         out += f"{header}|{crc:08x}\n".encode("utf-8")
         for segment in self.segments:
@@ -484,7 +492,11 @@ class Journal:
             raise JournalCorruption("SNAP header checksum mismatch")
         _tag, seq_text, snap_text = body.split("|", 2)
         journal.snapshot_seq = int(seq_text)
-        journal.snapshot_state = json.loads(snap_text) if snap_text else None
+        if snap_text:
+            # Re-canonicalised, so whatever wrote the bytes, `dump` and
+            # `snapshot_bytes` see canonical text; a malformed snapshot
+            # fails here rather than at the first `materialize`.
+            journal._snapshot_text = canonical_json(json.loads(snap_text))
         segment: Optional[Segment] = None
         top_seq = journal.snapshot_seq
         for raw in lines[1:]:

@@ -43,7 +43,10 @@ def parse_ip(text: str) -> Tuple[int, int]:
 def format_ip(value: int, version: int) -> str:
     """Format integer *value* as the canonical textual IP address."""
     if version == 4:
-        return str(ipaddress.IPv4Address(value))
+        if not 0 <= value <= _V4_MAX:
+            raise ValueError(f"address {value:#x} out of range for IPv4")
+        return (f"{value >> 24}.{(value >> 16) & 0xFF}."
+                f"{(value >> 8) & 0xFF}.{value & 0xFF}")
     if version == 6:
         return str(ipaddress.IPv6Address(value))
     raise ValueError(f"unknown IP version: {version!r}")

@@ -42,13 +42,12 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..cluster.cluster import GatewayCluster
 from ..core.controller import (
-    Controller,
     RouteEntry,
+    StagedOp,
     Transaction,
     TransactionAborted,
     VmEntry,
 )
-from ..core.journal import encode_action, encode_binding
 from ..core.splitting import ClusterCapacity, TenantProfile
 from ..net.addr import Prefix
 from ..sim.engine import Engine, PeriodicTask
@@ -76,41 +75,35 @@ class CrossShardTransaction:
     def __init__(self, sharded: "ShardedController"):
         self._sharded = sharded
         #: (shard_id, cluster_id) -> staged ops, in call order.
-        self.ops: Dict[Tuple[str, str], List[dict]] = {}
+        self.ops: Dict[Tuple[str, str], List[StagedOp]] = {}
 
-    def _stage(self, owner: int, op: dict) -> None:
+    def _stage(self, owner: int, build: Callable[..., StagedOp], *entry) -> None:
         shard_id = self._sharded.router.shard_of(owner)
         plan = self._sharded.shards[shard_id].controller.plan
         if owner not in plan.assignments:
             raise ShardError(f"VNI {owner} is not placed on shard {shard_id}")
         cluster_id = plan.assignments[owner]
-        op["cluster"] = cluster_id
-        self.ops.setdefault((shard_id, cluster_id), []).append(op)
+        self.ops.setdefault((shard_id, cluster_id), []).append(
+            build(cluster_id, *entry))
 
     def install_route(self, route: RouteEntry,
                       owner: Optional[int] = None) -> None:
-        self._stage(owner if owner is not None else route.vni,
-                    {"op": "install-route", "vni": route.vni,
-                     "prefix": str(route.prefix),
-                     "action": encode_action(route.action)})
+        self._stage(route.vni if owner is None else owner,
+                    StagedOp.install_route, route)
 
     def remove_route(self, vni: int, prefix: Prefix,
                      owner: Optional[int] = None) -> None:
-        self._stage(owner if owner is not None else vni,
-                    {"op": "remove-route", "vni": vni,
-                     "prefix": str(prefix)})
+        self._stage(vni if owner is None else owner,
+                    StagedOp.remove_route, vni, prefix)
 
     def install_vm(self, vm: VmEntry, owner: Optional[int] = None) -> None:
-        self._stage(owner if owner is not None else vm.vni,
-                    {"op": "install-vm", "vni": vm.vni,
-                     "vm_ip": vm.vm_ip, "vm_version": vm.version,
-                     "binding": encode_binding(vm.binding)})
+        self._stage(vm.vni if owner is None else owner,
+                    StagedOp.install_vm, vm)
 
     def remove_vm(self, vni: int, vm_ip: int, version: int,
                   owner: Optional[int] = None) -> None:
-        self._stage(owner if owner is not None else vni,
-                    {"op": "remove-vm", "vni": vni, "vm_ip": vm_ip,
-                     "vm_version": version})
+        self._stage(vni if owner is None else owner,
+                    StagedOp.remove_vm, vni, vm_ip, version)
 
     def shard_ids(self) -> List[str]:
         return sorted({sid for sid, _cid in self.ops})
@@ -239,12 +232,7 @@ class ShardedController:
         # Validate removals against desired state before anything is
         # journalled anywhere.
         for (sid, cid), ops in xtxn.ops.items():
-            ctl = self.shards[sid].controller
-            for op in ops:
-                if op["op"].startswith("remove-") and \
-                        ctl._stage_prev(cid, op) is None:
-                    raise TableError(
-                        f"cross-shard transaction removes unknown entry: {op}")
+            self.shards[sid].controller._check_removals(cid, ops)
         # Stage 0 — begin: the coordinator durably names the participants.
         coordinator.controller._journal_append("xtxn-begin", {
             "xid": xid,
@@ -252,29 +240,29 @@ class ShardedController:
         })
         self._crash_point("xtxn-begin", coordinator.shard_id)
         # Stage 1 — prepare each participant: journal the xid-tagged txn
-        # record, then apply the batch to every member with undo logs.
-        prepared: List[Tuple[ControllerShard, str, object, list]] = []
+        # record, then push the batch to every member through the
+        # controller's prepare/unwind engine.
+        prepared: List[Tuple[str, str, object, list]] = []
         failure: Optional[TableError] = None
         for (sid, cid) in participants:
-            shard = self.shards[sid]
-            ctl = shard.controller
+            ctl = self.shards[sid].controller
             record = ctl._journal_append("txn", {
-                "cluster": cid, "xid": xid, "ops": list(xtxn.ops[(sid, cid)]),
+                "cluster": cid, "xid": xid,
+                "ops": [op.payload for op in xtxn.ops[(sid, cid)]],
             })
-            member_undos: list = []
-            prepared.append((shard, cid, record, member_undos))
-            try:
-                for member in ctl.clusters[cid].all_members():
-                    undo: list = []
-                    member_undos.append((member, undo))
-                    for op in xtxn.ops[(sid, cid)]:
-                        ctl._apply_op_to_gateway(member.gateway, op, undo)
-            except TableError as exc:
-                failure = exc
+            undo: list = []
+            prepared.append((sid, cid, record, undo))
+            failure = ctl._prepare(cid, xtxn.ops[(sid, cid)], undo)
+            if failure is not None:
                 break
             self._crash_point("xtxn-prepare", sid)
         if failure is not None:
-            self._abort_cross(coordinator, xid, prepared)
+            # Unwind every participant that saw any part of the batch,
+            # then record the coordinator's durable abort.
+            for sid, _cid, record, undo in reversed(prepared):
+                self.shards[sid].controller._abort_prepared(record, undo)
+            coordinator.controller._journal_append("xtxn-abort", {"xid": xid})
+            self.counters.add("xtxns_aborted")
             raise TransactionAborted(
                 f"cross-shard transaction {xid} aborted: {failure}"
             ) from failure
@@ -285,33 +273,11 @@ class ShardedController:
         # committed and folds the ops into desired state. A crash in
         # here leaves in-doubt prepares that recovery resolves as
         # committed (the decision is already durable).
-        for (shard, cid, record, _undos) in prepared:
-            self._crash_point("xtxn-complete", shard.shard_id)
-            ctl = shard.controller
-            ctl._journal_append("txn-commit", {"txn_seq": record.seq})
-            for op in xtxn.ops[(shard.shard_id, cid)]:
-                ctl._apply_committed_op(cid, op)
-            ctl.counters.add("txns_committed")
-            ctl.version += 1
-            ctl._record_size(cid, time)
+        for sid, cid, record, _undo in prepared:
+            self._crash_point("xtxn-complete", sid)
+            self.shards[sid].controller._complete_prepared(
+                cid, xtxn.ops[(sid, cid)], record, time)
         self.counters.add("xtxns_committed")
-
-    def _abort_cross(self, coordinator: ControllerShard, xid: str,
-                     prepared: List[Tuple[ControllerShard, str, object, list]]) -> None:
-        """Unwind every member that saw any part of the batch, journal
-        the abort markers, and record the coordinator's durable abort."""
-        for shard, _cid, record, member_undos in reversed(prepared):
-            ctl = shard.controller
-            for _member, undo in reversed(member_undos):
-                for action in reversed(undo):
-                    try:
-                        action()
-                    except TableError:
-                        ctl.counters.add("txn_rollback_failures")
-            ctl._journal_append("txn-abort", {"txn_seq": record.seq})
-            ctl.counters.add("txns_aborted")
-        coordinator.controller._journal_append("xtxn-abort", {"xid": xid})
-        self.counters.add("xtxns_aborted")
 
     # -- durability and recovery -------------------------------------------
 

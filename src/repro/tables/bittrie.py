@@ -149,18 +149,21 @@ class GenericLpmTrie(Generic[V]):
         return key & mask, length, value
 
     def items(self) -> Iterator[Tuple[int, int, V]]:
-        """All ``(network, length, value)`` triples in trie order."""
-
-        def walk(node: _Node[V], path: int, depth: int):
+        """All ``(network, length, value)`` triples in trie order
+        (pre-order, 0-branch first), walked with an explicit stack — one
+        generator frame however deep the trie."""
+        width = self.width
+        stack = [(self._root, 0, 0)]
+        pop, push = stack.pop, stack.append
+        while stack:
+            node, path, depth = pop()
             if node.has_value:
-                network = path << (self.width - depth) if depth < self.width else path
-                yield network, depth, node.value
-            for bit in (0, 1):
-                child = node.children[bit]
-                if child is not None:
-                    yield from walk(child, (path << 1) | bit, depth + 1)
-
-        yield from walk(self._root, 0, 0)
+                yield path << (width - depth), depth, node.value
+            zero, one = node.children
+            if one is not None:
+                push((one, (path << 1) | 1, depth + 1))
+            if zero is not None:
+                push((zero, path << 1, depth + 1))
 
     def covering_entries(self, network: int, length: int) -> List[Tuple[int, int, V]]:
         """Stored prefixes on the root path down to (and including)

@@ -108,6 +108,26 @@ class VxlanRoutingTable:
         self.generation += 1
         return action
 
+    def get(self, vni: int, prefix: Prefix) -> Optional[RouteAction]:
+        """The action installed at exactly ``(vni, prefix)`` — the
+        exact-match twin of :meth:`VmNcTable.lookup`, O(prefix length).
+        None for an absent VNI, family or prefix.
+
+        >>> table = VxlanRoutingTable()
+        >>> table.insert(10, Prefix.parse("10.0.0.0/8"), RouteAction(Scope.LOCAL))
+        >>> table.get(10, Prefix.parse("10.0.0.0/8")).scope.value
+        'local'
+        >>> table.get(10, Prefix.parse("10.0.0.0/9")), table.get(11, Prefix.parse("10.0.0.0/8"))
+        (None, None)
+        """
+        trie = self._tries.get((vni, prefix.version))
+        if trie is None:
+            return None
+        try:
+            return trie.get(prefix)
+        except MissingEntryError:
+            return None
+
     def lookup(self, vni: int, address: int, version: int) -> Optional[Tuple[Prefix, RouteAction]]:
         """One longest-prefix match step (no PEER chasing)."""
         self.lookups += 1

@@ -1,6 +1,7 @@
 """The write-ahead journal: framing, rotation, snapshots, replay."""
 
 import json
+import zlib
 
 import pytest
 
@@ -147,6 +148,30 @@ class TestSnapshots:
         state["version"] = 99
         assert journal.snapshot_state["version"] == 0
 
+    def test_snapshot_reads_never_alias_the_held_copy(self):
+        # The snapshot is held as canonical text: every read decodes a
+        # fresh store, so neither snapshot_state nor materialize() can
+        # hand a caller the journal's own copy to mutate.
+        journal = Journal()
+        journal.append(*route_op(vni=1))
+        journal.snapshot(journal.materialize())
+        before = journal.dump()
+        journal.snapshot_state["routes"]["A"].clear()
+        journal.materialize()["routes"]["A"].clear()
+        assert journal.dump() == before
+        assert len(journal.materialize()["routes"]["A"]) == 1
+
+    def test_snapshot_bytes_is_the_canonical_size(self):
+        journal = Journal()
+        assert journal.snapshot_bytes == 0 and journal.snapshot_state is None
+        op, payload = route_op(vni=1, scope="internet")
+        payload["action"]["target"] = "igw-\u00e9"  # non-ASCII is escaped
+        journal.append(op, payload)
+        state = journal.materialize()
+        journal.snapshot(state)
+        assert journal.snapshot_bytes == len(canonical_json(state).encode("utf-8"))
+        assert journal.telemetry()["snapshot_bytes"] == journal.snapshot_bytes
+
 
 class TestTransactions:
     def _txn(self, journal, commit):
@@ -200,6 +225,13 @@ class TestSerialisation:
         assert loaded.next_seq == journal.next_seq
         assert loaded.snapshot_seq == journal.snapshot_seq
         assert loaded.dump() == journal.dump()
+
+    def test_load_parses_the_snapshot_it_keeps(self):
+        # Valid CRC, malformed snapshot JSON: rejected at load time.
+        header = "SNAP|3|{not json"
+        crc = zlib.crc32(header.encode()) & 0xFFFFFFFF
+        with pytest.raises(json.JSONDecodeError):
+            Journal.load(f"{header}|{crc:08x}\n".encode())
 
     def test_equal_histories_dump_identically(self):
         assert self._populated().dump() == self._populated().dump()

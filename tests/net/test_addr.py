@@ -1,5 +1,7 @@
 """Tests for repro.net.addr."""
 
+import ipaddress
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -42,6 +44,26 @@ class TestParseFormat:
     @given(st.integers(min_value=0, max_value=(1 << 128) - 1))
     def test_v6_int_roundtrip(self, value):
         assert parse_ip(format_ip(value, 6)) == (value, 6)
+
+    @given(st.integers(min_value=0, max_value=(1 << 32) - 1))
+    def test_v4_text_is_ipaddress_text(self, value):
+        # format_ip builds the dotted quad arithmetically; journal
+        # payloads and snapshot keys carry this text, so it must stay
+        # exactly what ipaddress prints.
+        assert format_ip(value, 4) == str(ipaddress.IPv4Address(value))
+        prefix_len = value % 33
+        network = value >> (32 - prefix_len) << (32 - prefix_len)
+        assert str(Prefix(network, prefix_len, 4)) == \
+            str(ipaddress.ip_network((network, prefix_len)))
+
+    def test_v4_corners_and_range_check(self):
+        assert format_ip(0, 4) == "0.0.0.0"
+        assert format_ip((1 << 32) - 1, 4) == "255.255.255.255"
+        for bad in (-1, 1 << 32):
+            with pytest.raises(ValueError):
+                format_ip(bad, 4)
+            with pytest.raises(ValueError):
+                format_ip(bad if bad < 0 else 1 << 128, 6)
 
 
 class TestMasks:

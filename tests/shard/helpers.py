@@ -9,6 +9,7 @@ from repro.core.splitting import ClusterCapacity, TenantProfile
 from repro.core.xgw_h import XgwH
 from repro.net.addr import Prefix
 from repro.shard import ShardedController
+from repro.tables.errors import TableError
 from repro.tables.vm_nc import NcBinding
 from repro.tables.vxlan_routing import RouteAction, Scope
 
@@ -66,3 +67,8 @@ def stage_peer_chain(xtxn, a, b):
     xtxn.install_route(RouteEntry(b, sub_a, RouteAction(Scope.PEER,
                                                         next_hop_vni=a)))
     xtxn.install_route(RouteEntry(a, sub_a, RouteAction(Scope.LOCAL)), owner=b)
+
+
+def failing_install(vni, prefix, action, replace=False):
+    """Stand-in for a member's ``install_route`` whose agent is down."""
+    raise TableError("injected gateway agent failure")

@@ -165,3 +165,50 @@ class TestPropertyVsLinearScan:
             expected[(network, length)] = i
         got = {(n, l): v for n, l, v in trie.items()}
         assert got == expected
+
+
+def recursive_items(trie):
+    """The pre-PR-14 ``items()``: one nested generator per trie level.
+    Kept here as the order reference — snapshots, audit logs and
+    recovery sync all observe this order."""
+
+    def walk(node, path, depth):
+        if node.has_value:
+            network = path << (trie.width - depth) if depth < trie.width else path
+            yield network, depth, node.value
+        for bit in (0, 1):
+            child = node.children[bit]
+            if child is not None:
+                yield from walk(child, (path << 1) | bit, depth + 1)
+
+    yield from walk(trie._root, 0, 0)
+
+
+class TestItemsOrder:
+    def test_preorder_zero_branch_first(self):
+        trie = GenericLpmTrie(4)
+        for network, length in ((0b1000, 1), (0b0000, 0), (0b0100, 2),
+                                (0b0111, 4), (0b1100, 2), (0b0000, 3)):
+            trie.insert(network, length, (network, length))
+        assert [(n, l) for n, l, _v in trie.items()] == [
+            (0b0000, 0), (0b0000, 3), (0b0100, 2), (0b0111, 4),
+            (0b1000, 1), (0b1100, 2)]
+
+    def test_empty_trie(self):
+        assert list(GenericLpmTrie(32).items()) == []
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from((8, 32, 128)).flatmap(
+        lambda width: st.tuples(
+            st.just(width),
+            st.lists(st.tuples(make_prefix(width), st.booleans()), max_size=40))))
+    def test_same_sequence_as_the_recursive_walk(self, case):
+        width, ops = case
+        trie = GenericLpmTrie(width)
+        for step, ((network, length), insert) in enumerate(ops):
+            if insert:
+                trie.insert(network, length, step, replace=True)
+            elif trie.contains(network, length):
+                trie.remove(network, length)
+            assert list(trie.items()) == list(recursive_items(trie))
+        assert len(list(trie.items())) == len(trie)

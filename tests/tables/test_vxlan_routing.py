@@ -3,6 +3,7 @@
 import ipaddress
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.net.addr import Prefix
 from repro.tables.errors import MissingEntryError
@@ -183,3 +184,50 @@ class TestCompositeKeys:
             assert (direct is None) == (via_alpm is None)
             if direct is not None:
                 assert via_alpm[2] == direct[1]
+
+
+class TestKeyedGet:
+    """``get`` is the exact-match read the two-phase commit takes its
+    pre-images from: it must agree with a dict built from ``items()``
+    after any mix of inserts, replaces and removes."""
+
+    ACTIONS = (RouteAction(Scope.LOCAL), RouteAction(Scope.PEER, next_hop_vni=7),
+               RouteAction(Scope.INTERNET, target="igw"))
+    # Small key space so replaces, removes of present keys and emptied
+    # tries all occur: 3 VNIs x (4 IPv4 + 3 IPv6 prefixes).
+    PREFIXES = tuple(Prefix.parse(text) for text in (
+        "0.0.0.0/0", "10.0.0.0/8", "10.0.0.0/9", "10.1.2.3/32",
+        "::/0", "fd00::/8", "fd00::1/128"))
+
+    def test_absent_vni_family_and_prefix(self):
+        table = VxlanRoutingTable()
+        table.insert(VPC_A, Prefix.parse("10.0.0.0/8"), RouteAction(Scope.LOCAL))
+        assert table.get(VPC_A, Prefix.parse("10.0.0.0/8")) == RouteAction(Scope.LOCAL)
+        assert table.get(VPC_B, Prefix.parse("10.0.0.0/8")) is None   # absent VNI
+        assert table.get(VPC_A, Prefix.parse("fd00::/8")) is None      # absent family
+        assert table.get(VPC_A, Prefix.parse("10.0.0.0/9")) is None    # interior node
+        assert table.get(VPC_A, Prefix.parse("10.0.0.0/7")) is None    # valueless ancestor
+        assert table.get(1 << 24, Prefix.parse("10.0.0.0/8")) is None  # never installable
+        assert table.lookups == 0  # a control-plane read, not a data-plane lookup
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(("insert", "remove")),
+                              st.integers(min_value=1, max_value=3),
+                              st.sampled_from(PREFIXES),
+                              st.sampled_from(ACTIONS)), max_size=40))
+    def test_get_equals_dict_of_items(self, ops):
+        table = VxlanRoutingTable()
+        model = {}
+        for kind, vni, prefix, action in ops:
+            if kind == "insert":
+                table.insert(vni, prefix, action, replace=True)
+                model[(vni, prefix)] = action
+            elif (vni, prefix) in model:
+                assert table.remove(vni, prefix) == model.pop((vni, prefix))
+            else:
+                with pytest.raises(MissingEntryError):
+                    table.remove(vni, prefix)
+            assert {(v, p): a for v, p, a in table.items()} == model
+            for vni_q in (1, 2, 3, 4):
+                for prefix_q in self.PREFIXES:
+                    assert table.get(vni_q, prefix_q) == model.get((vni_q, prefix_q))
