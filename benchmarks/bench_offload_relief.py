@@ -2,7 +2,8 @@
 
 Drives a seeded Zipf workload that pins an XGW-x86's hottest cores past
 100% (the Fig. 4 regime), lets the heavy-hitter detector promote the
-head flows onto an XGW-H cluster through the capacity-aware scheduler,
+head flows onto an XGW-H cluster through the capacity-aware planner
+(a :class:`~repro.dpu.planner.TierPlanner` with no DPU devices),
 and checks the closed loop's promises: steady-state x86 loss under
 0.1%, chip occupancy within the compiler-reported budget, and a
 byte-identical decision log for equal seeds. Benchmarks one full
@@ -24,13 +25,9 @@ from repro.cluster.ecmp import VniSteeredBalancer
 from repro.core.controller import Controller, RouteEntry
 from repro.core.splitting import ClusterCapacity, TableSplitter, TenantProfile
 from repro.core.xgw_h import XgwH
+from repro.dpu import Tier, TierDetector, TierPlanner
 from repro.net.addr import Prefix
-from repro.offload import (
-    ChipBudget,
-    HeavyHitterDetector,
-    OffloadLoop,
-    OffloadScheduler,
-)
+from repro.offload import ChipBudget, HeavyHitterDetector, OffloadLoop
 from repro.sim.engine import Engine
 from repro.tables.vxlan_routing import RouteAction, Scope
 from repro.workloads.flows import heavy_hitter_flows
@@ -60,34 +57,33 @@ def build_loop(seed=SEED):
     ctrl, cluster_id = build_controller()
     budget = ChipBudget(ctrl.clusters[cluster_id], sram_budget_words=64,
                         tcam_budget_slices=128)
-    detector = HeavyHitterDetector(
+    detector = TierDetector(chip=HeavyHitterDetector(
         theta_hi=0.5 * DEFAULT_CORE_PPS, theta_lo=0.2 * DEFAULT_CORE_PPS,
-        promote_after=2, demote_after=3, ewma_alpha=0.5, seed=seed)
-    scheduler = OffloadScheduler(ctrl, cluster_id, budget, detector=detector)
+        promote_after=2, demote_after=3, ewma_alpha=0.5, seed=seed))
+    planner = TierPlanner(ctrl, cluster_id, budget, [], detector)
     gateway = XgwX86(gateway_ip=int(ipaddress.ip_address("10.0.0.1")))
     flows = heavy_hitter_flows(100, 0.4 * gateway.total_capacity_pps,
                                seed=4, alpha=1.4, vnis=[VNI])
     engine = Engine()
-    loop = OffloadLoop(engine, [gateway], scheduler, detector,
-                       lambda _t: flows)
-    return engine, loop, scheduler
+    loop = OffloadLoop(engine, [gateway], planner, lambda _t: flows)
+    return engine, loop, planner
 
 
 def run_loop(seed=SEED):
-    engine, loop, scheduler = build_loop(seed)
+    engine, loop, planner = build_loop(seed)
     loop.start(until=DURATION)
     engine.run(until=DURATION)
-    return loop, scheduler
+    return loop, planner
 
 
-def save_artifacts(name, scheduler, loop):
+def save_artifacts(name, planner, loop):
     """Drop the decision log + run summary where CI can upload them."""
     art_dir = os.environ.get("OFFLOAD_ARTIFACT_DIR")
     if not art_dir:
         return
     os.makedirs(art_dir, exist_ok=True)
     with open(os.path.join(art_dir, f"{name}.decisions.log"), "w") as fh:
-        fh.write(scheduler.decision_log_text())
+        fh.write(planner.decision_log_text())
     summary = {
         "snapshots": [
             {"t": s.time, "x86_loss": s.x86_loss,
@@ -95,16 +91,16 @@ def save_artifacts(name, scheduler, loop):
              "offloaded_pps": s.offloaded_pps}
             for s in loop.snapshots
         ],
-        "occupancy": scheduler.budget.occupancy(),
-        "counters": scheduler.counters.snapshot(),
+        "occupancy": planner.chip_budget.occupancy(),
+        "counters": planner.counters.snapshot(),
     }
     with open(os.path.join(art_dir, f"{name}.summary.json"), "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
 
 
 def test_offload_relieves_cpu_overload(benchmark):
-    loop, scheduler = run_loop()
-    save_artifacts("offload-relief", scheduler, loop)
+    loop, planner = run_loop()
+    save_artifacts("offload-relief", planner, loop)
     first, last = loop.snapshots[0], loop.snapshots[-1]
 
     rows = [
@@ -112,11 +108,11 @@ def test_offload_relieves_cpu_overload(benchmark):
         ("x86 loss at steady state", "< 0.1%", f"{last.x86_loss:.3%}"),
         ("hottest core before", "100%", f"{first.x86_max_core_util:.0%}"),
         ("hottest core after", "< 90%", f"{last.x86_max_core_util:.0%}"),
-        ("VIPs offloaded", "head of the Zipf", f"{len(scheduler.offloaded)}"),
+        ("VIPs offloaded", "head of the Zipf", f"{len(planner.keys_on(Tier.CHIP))}"),
         ("chip SRAM occupancy", "within budget",
-         f"{scheduler.budget.occupancy()['sram']:.1%}"),
+         f"{planner.chip_budget.occupancy()['sram']:.1%}"),
         ("migrations aborted", "0",
-         f"{scheduler.counters['migrations_aborted']}"),
+         f"{planner.counters['migrations_aborted']}"),
     ]
     emit("Offload relief: x86 overload drained onto XGW-H", rows)
 
@@ -126,24 +122,25 @@ def test_offload_relieves_cpu_overload(benchmark):
     # After: the head flows run on the chip; x86 under 0.1% loss.
     assert last.x86_loss < 0.001
     assert last.x86_max_core_util < 0.9
-    assert len(scheduler.offloaded) > 0
+    assert planner.keys_on(Tier.CHIP)
     assert last.hw_dropped_pps == 0.0
     # Never past the compiler-reported capacity.
-    used, cap = scheduler.budget.used, scheduler.budget.capacity()
+    used, cap = planner.chip_budget.used, planner.chip_budget.capacity()
     assert used.sram_words <= cap.sram_words
     assert used.tcam_slices <= cap.tcam_slices
     # Steady state means no flapping: every promotion stuck.
-    assert scheduler.counters["demotions"] == 0
+    assert planner.counters["demotions"] == 0
+    assert planner.counters["evictions"] == 0
 
-    engine2, loop2, _sched2 = build_loop()
+    engine2, loop2, _planner2 = build_loop()
     loop2.start(until=DURATION)
     engine2.run(until=1.0)  # warm: population known, decisions pending
     benchmark(loop2.tick)
 
 
 def test_decision_log_deterministic():
-    _loop_a, sched_a = run_loop(seed=SEED)
-    _loop_b, sched_b = run_loop(seed=SEED)
-    save_artifacts("offload-determinism", sched_a, _loop_a)
-    assert sched_a.decision_log_text() == sched_b.decision_log_text()
-    assert sched_a.decision_log_text()
+    _loop_a, planner_a = run_loop(seed=SEED)
+    _loop_b, planner_b = run_loop(seed=SEED)
+    save_artifacts("offload-determinism", planner_a, _loop_a)
+    assert planner_a.decision_log_text() == planner_b.decision_log_text()
+    assert planner_a.decision_log_text()

@@ -5,9 +5,10 @@ One XGW-x86 box absorbs a Zipf flow population whose head pins its
 hottest RSS cores at 100% — the Fig. 4 pathology. The heavy-hitter
 detector (count-min sketch + space-saving tracker, EWMA smoothing,
 promote/demote hysteresis) nominates the elephants, and the
-capacity-aware scheduler steers them onto an XGW-H cluster through the
-controller's two-phase transaction path, never exceeding the chip's
-compiler-reported SRAM/TCAM headroom.
+capacity-aware placement planner — a ``TierPlanner`` with no DPU
+devices, i.e. the chip + x86 deployment — steers them onto an XGW-H
+cluster through the controller's two-phase transaction path, never
+exceeding the chip's compiler-reported SRAM/TCAM headroom.
 
 Watch for:
 
@@ -27,13 +28,9 @@ from repro.cluster.ecmp import VniSteeredBalancer
 from repro.core.controller import Controller, RouteEntry
 from repro.core.splitting import ClusterCapacity, TableSplitter, TenantProfile
 from repro.core.xgw_h import XgwH
+from repro.dpu import TierDetector, TierPlanner
 from repro.net.addr import Prefix
-from repro.offload import (
-    ChipBudget,
-    HeavyHitterDetector,
-    OffloadLoop,
-    OffloadScheduler,
-)
+from repro.offload import ChipBudget, HeavyHitterDetector, OffloadLoop
 from repro.sim.engine import Engine
 from repro.tables.vxlan_routing import RouteAction, Scope
 from repro.workloads.flows import heavy_hitter_flows
@@ -61,10 +58,10 @@ def run(seed):
     ctrl, cluster_id = make_controller()
     budget = ChipBudget(ctrl.clusters[cluster_id], sram_budget_words=64,
                         tcam_budget_slices=128)
-    detector = HeavyHitterDetector(
+    detector = TierDetector(chip=HeavyHitterDetector(
         theta_hi=0.5 * DEFAULT_CORE_PPS, theta_lo=0.2 * DEFAULT_CORE_PPS,
-        promote_after=2, demote_after=3, ewma_alpha=0.5, seed=seed)
-    scheduler = OffloadScheduler(ctrl, cluster_id, budget, detector=detector)
+        promote_after=2, demote_after=3, ewma_alpha=0.5, seed=seed))
+    planner = TierPlanner(ctrl, cluster_id, budget, [], detector)
     gateway = XgwX86(gateway_ip=int(ipaddress.ip_address("10.0.0.1")))
     flows = heavy_hitter_flows(100, 0.4 * gateway.total_capacity_pps,
                                seed=4, alpha=1.4, vnis=[VNI])
@@ -72,8 +69,7 @@ def run(seed):
           f"offered onto one {len(gateway.cpu.cores)}-core XGW-x86")
 
     engine = Engine()
-    loop = OffloadLoop(engine, [gateway], scheduler, detector,
-                       lambda _t: flows)
+    loop = OffloadLoop(engine, [gateway], planner, lambda _t: flows)
     loop.start(until=20.0)
     engine.run(until=20.0)
 
@@ -83,13 +79,13 @@ def run(seed):
                   f"hottest core={snap.x86_max_core_util:4.0%}  "
                   f"offloaded={snap.offloaded_pps / 1e6:5.2f}Mpps")
 
-    occ = scheduler.budget.occupancy()
-    print(f"offloaded VIPs: {len(scheduler.offloaded)}  "
+    occ = budget.occupancy()
+    print(f"offloaded VIPs: {len(planner.keys_on('chip'))}  "
           f"chip occupancy: sram={occ['sram']:.1%} tcam={occ['tcam']:.1%}")
     print("decision log:")
-    for line in scheduler.decision_log:
+    for line in planner.decision_log:
         print(f"  {line}")
-    return scheduler.decision_log_text()
+    return planner.decision_log_text()
 
 
 def main() -> None:

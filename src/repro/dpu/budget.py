@@ -1,6 +1,6 @@
 """Admission accounting for one DPU device, mirroring ChipBudget.
 
-Where :class:`~repro.offload.scheduler.ChipBudget` meters SRAM words and
+Where :class:`~repro.offload.budget.ChipBudget` meters SRAM words and
 TCAM slices, a DPU's scarce resources are exact-match **flow entries**
 and stateful **sessions**. The shapes match on purpose: both budgets
 expose ``can_admit``/``charge``/``release``/``occupancy`` and a

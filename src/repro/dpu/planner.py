@@ -1,14 +1,15 @@
-"""Three-tier placement: chip / DPU / x86 (hierarchical co-offloading).
+"""Tier placement: chip / DPU / x86 (hierarchical co-offloading).
 
-Generalises the two-tier :class:`~repro.offload.scheduler.OffloadScheduler`
-+ :class:`~repro.offload.scheduler.ChipBudget` pair: heavy stable flows
-go to the switch ASIC, warm stateful sessions to a DPU, the cold and
-volatile tail stays on x86. The same three invariants carry over, per
-tier:
+The one placement actor. Heavy stable flows go to the switch ASIC, warm
+stateful sessions to a DPU, the cold and volatile tail stays on x86 —
+and the DPU device list is the only dimension: a planner built with
+``devices=[]`` is the original Sailfish chip + x86 deployment (§2.2,
+Fig. 4), the zero-DPU case of the same closed loop. Three invariants,
+per tier:
 
-* **never over-commit a device** — chip admission goes through the
-  existing :class:`~repro.offload.scheduler.ChipBudget`, DPU admission
-  through one :class:`~repro.dpu.budget.DpuBudget` per device, and both
+* **never over-commit a device** — chip admission goes through one
+  :class:`~repro.offload.budget.ChipBudget`, DPU admission through one
+  :class:`~repro.dpu.budget.DpuBudget` per device, and both
   evict coldest-first (colder than the candidate) before denying;
 * **no partial migrations** — every tier move is two transactions in a
   fixed order: *withdraw from the source tier first, install on the
@@ -28,6 +29,12 @@ tier:
   :class:`~repro.offload.detector.HeavyHitterDetector` per tier
   boundary, so a flow oscillating near either threshold migrates at
   most once in each direction across that boundary.
+
+Every action (and every refusal) is appended to the canonical decision
+log — ``promote … x86->chip``, ``demote … chip->x86``, ``evict``,
+``deny … tier=chip no-headroom``, ``drain``, ``abort-*``; with a fixed
+seed the log is byte-identical run to run, which the offload benches
+assert.
 """
 
 from __future__ import annotations
@@ -39,8 +46,8 @@ from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, 
 from ..cluster.cluster import GatewayCluster
 from ..core.controller import Controller, RouteEntry, TransactionAborted
 from ..core.economics import TierCostModel
+from ..offload.budget import VipKey, entry_footprint
 from ..offload.detector import FlowState, HeavyHitterDetector
-from ..offload.scheduler import VipKey, entry_footprint
 from ..offload.sketch import _key_bytes
 from ..tables.vxlan_routing import RouteAction, Scope
 from ..telemetry.stats import CounterSet
@@ -80,14 +87,15 @@ class TierDecision:
 
 
 class TierDetector:
-    """Two stacked heavy-hitter detectors, one per tier boundary.
+    """Stacked heavy-hitter detectors, one per tier boundary.
 
     The *chip* detector's thresholds sit above the *dpu* detector's, so
     the hot set nests: a key the chip detector calls HOT belongs on the
     chip; else, HOT by the dpu detector means the DPU; else x86. Each
     boundary keeps the underlying detector's hysteresis, so per observe
     a key crosses each boundary at most once — and consecutive crossings
-    of the same boundary alternate direction.
+    of the same boundary alternate direction. Without a DPU tier there
+    is one boundary: ``dpu=None`` and every key is chip or x86.
 
     >>> det = TierDetector(
     ...     chip=HeavyHitterDetector(theta_hi=1000.0, theta_lo=400.0,
@@ -100,8 +108,9 @@ class TierDetector:
     [('vip', 'chip')]
     """
 
-    def __init__(self, chip: HeavyHitterDetector, dpu: HeavyHitterDetector):
-        if chip.theta_hi <= dpu.theta_hi:
+    def __init__(self, chip: HeavyHitterDetector,
+                 dpu: Optional[HeavyHitterDetector] = None):
+        if dpu is not None and chip.theta_hi <= dpu.theta_hi:
             raise ValueError(
                 "chip boundary must sit above the dpu boundary "
                 f"(chip theta_hi={chip.theta_hi} <= dpu theta_hi={dpu.theta_hi})"
@@ -109,19 +118,20 @@ class TierDetector:
         self.chip = chip
         self.dpu = dpu
 
+    def _dpu_hot(self, key: Hashable) -> bool:
+        return self.dpu is not None and self.dpu.state_of(key) is FlowState.HOT
+
     def target_tier(self, key: Hashable) -> Tier:
         """Where the stacked hysteresis states currently put *key*."""
         if self.chip.state_of(key) is FlowState.HOT:
             return Tier.CHIP
-        if self.dpu.state_of(key) is FlowState.HOT:
-            return Tier.DPU
-        return Tier.X86
+        return Tier.DPU if self._dpu_hot(key) else Tier.X86
 
     def demotion_target(self, key: Hashable, from_tier: Tier) -> Tier:
         """Where a capacity eviction from *from_tier* should land: a
         chip victim still warm by the dpu boundary steps down one tier;
         everything else falls to x86."""
-        if from_tier is Tier.CHIP and self.dpu.state_of(key) is FlowState.HOT:
+        if from_tier is Tier.CHIP and self._dpu_hot(key):
             return Tier.DPU
         return Tier.X86
 
@@ -131,15 +141,18 @@ class TierDetector:
         its hysteresis from COLD."""
         if tier is not Tier.CHIP:
             self.chip.mark_demoted(key)
-        if tier is Tier.X86:
+        if tier is Tier.X86 and self.dpu is not None:
             self.dpu.mark_demoted(key)
 
     def observe(self, rates: Mapping[Hashable, float]) -> List[TierDecision]:
         """Ingest one interval of (key -> pps); emit at most one
         :class:`TierDecision` per key whose boundary state changed."""
         index = self.chip.interval_index
+        crossings = self.chip.observe(rates)
+        if self.dpu is not None:
+            crossings = crossings + self.dpu.observe(rates)
         changed: Dict[Hashable, float] = {}
-        for decision in self.chip.observe(rates) + self.dpu.observe(rates):
+        for decision in crossings:
             changed[decision.key] = max(changed.get(decision.key, 0.0),
                                         decision.rate_pps)
         decisions = [TierDecision(key, self.target_tier(key), rate, index)
@@ -162,9 +175,9 @@ class TierPlacement:
 class TierPlanner:
     """Places VIPs across chip / DPU / x86 through controller transactions.
 
-    Owns one :class:`~repro.offload.scheduler.ChipBudget` (the chip
+    Owns one :class:`~repro.offload.budget.ChipBudget` (the chip
     cluster) and one :class:`~repro.dpu.budget.DpuBudget` per DPU
-    device; each device is adopted into the controller as a single-member
+    device (``devices`` may be empty: chip + x86 only); each device is adopted into the controller as a single-member
     cluster named after it, so DPU steering routes ride the same
     two-phase transaction/journal/audit machinery as everything else.
     """
@@ -206,13 +219,6 @@ class TierPlanner:
 
     # -- queries ------------------------------------------------------------
 
-    @property
-    def cluster_id(self) -> str:
-        """The chip cluster id (OffloadScheduler protocol compatibility:
-        the offload loop reads ``scheduler.cluster_id`` to find the
-        XGW-H members it drives)."""
-        return self.chip_cluster_id
-
     def place_of(self, key: VipKey) -> Tuple[str, Optional[str]]:
         """``(tier-name, device-name-or-None)`` for one VIP."""
         placement = self.placements.get(key)
@@ -234,8 +240,8 @@ class TierPlanner:
         return "\n".join(self.decision_log) + ("\n" if self.decision_log else "")
 
     def budgets(self) -> Dict[str, object]:
-        """Every budget this actor places against, keyed by tier/device —
-        the protocol :func:`~repro.offload.parity.budget_state` walks."""
+        """Every budget the planner places against, keyed by tier/device
+        — what :func:`~repro.offload.parity.decision_state_dump` walks."""
         out: Dict[str, object] = {"chip": self.chip_budget}
         for name in sorted(self.dpu_budgets):
             out[name] = self.dpu_budgets[name]
@@ -513,13 +519,15 @@ class TierPlanner:
     # -- telemetry ----------------------------------------------------------
 
     def record_telemetry(self, now: float) -> None:
-        chip_keys = self.keys_on(Tier.CHIP)
-        dpu_keys = self.keys_on(Tier.DPU)
         occ = self.chip_budget.occupancy()
-        self.series.record("tier/chip/entries", now, float(len(chip_keys)))
+        self.series.record("tier/chip/entries", now,
+                           float(len(self.keys_on(Tier.CHIP))))
         self.series.record("tier/chip/sram-occupancy", now, occ["sram"])
         self.series.record("tier/chip/tcam-occupancy", now, occ["tcam"])
-        self.series.record("tier/dpu/entries", now, float(len(dpu_keys)))
+        if not self.devices:
+            return
+        self.series.record("tier/dpu/entries", now,
+                           float(len(self.keys_on(Tier.DPU))))
         self.series.record(
             "tier/dpu/sessions", now,
             float(sum(len(d.sessions) for d in self.devices.values())))
@@ -529,11 +537,3 @@ class TierPlanner:
                                docc["entries"])
             self.series.record(f"tier/dpu/{name}/session-occupancy", now,
                                docc["sessions"])
-        # Legacy two-tier aliases, so dashboards built against the
-        # OffloadScheduler series keep rendering.
-        self.series.record("offloaded-entries", now,
-                           float(len(chip_keys) + len(dpu_keys)))
-        self.series.record("offloaded-pps", now,
-                           sum(p.rate_pps for p in self.placements.values()))
-        self.series.record("chip-sram-occupancy", now, occ["sram"])
-        self.series.record("chip-tcam-occupancy", now, occ["tcam"])

@@ -3,10 +3,14 @@
 The decision layer of the hybrid deployment: *which* traffic runs on
 XGW-H and which stays on XGW-x86. Sketches estimate per-VIP rates from
 interval observations, an EWMA detector with promote/demote hysteresis
-nominates migrations, and a capacity-aware scheduler executes them
-transactionally against the chip's compiler-reported SRAM/TCAM headroom.
+nominates migrations, and the placement planner
+(:class:`repro.dpu.planner.TierPlanner`, built over this package)
+executes them transactionally against the chip's compiler-reported
+SRAM/TCAM headroom (:class:`ChipBudget`); :class:`OffloadLoop` closes
+the loop.
 """
 
+from .budget import ChipBudget, VipKey, entry_footprint
 from .detector import (
     Decision,
     FlowState,
@@ -14,14 +18,7 @@ from .detector import (
     sweep_counter_rates,
 )
 from .loop import IntervalSnapshot, OffloadLoop, vip_of
-from .parity import budget_state, decision_state_dump
-from .scheduler import (
-    ChipBudget,
-    OffloadedEntry,
-    OffloadScheduler,
-    VipKey,
-    entry_footprint,
-)
+from .parity import decision_state_dump
 from .sketch import CountMinSketch, SpaceSaving
 
 __all__ = [
@@ -32,11 +29,8 @@ __all__ = [
     "HeavyHitterDetector",
     "IntervalSnapshot",
     "OffloadLoop",
-    "OffloadScheduler",
-    "OffloadedEntry",
     "SpaceSaving",
     "VipKey",
-    "budget_state",
     "decision_state_dump",
     "entry_footprint",
     "sweep_counter_rates",

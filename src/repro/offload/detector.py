@@ -183,8 +183,8 @@ class HeavyHitterDetector:
         return None
 
     def mark_demoted(self, key: Hashable) -> None:
-        """External demotion (scheduler eviction): reset the key COLD so
-        its hysteresis restarts from scratch."""
+        """External demotion (planner eviction or denied admission):
+        reset the key COLD so its hysteresis restarts from scratch."""
         track = self._tracks.get(key)
         if track is not None:
             track.state = FlowState.COLD

@@ -8,24 +8,21 @@ steered onto the XGW-H cluster, whose counter sweeps then keep feeding
 the same detector so cooled VIPs migrate back. One
 :class:`~repro.sim.engine.Engine` periodic task drives the whole cycle.
 
-The loop runs in one of two modes:
-
-* **two-tier** — an :class:`~.scheduler.OffloadScheduler` +
-  :class:`~.detector.HeavyHitterDetector` pair splits traffic between
-  the chip and x86 (the original Sailfish deployment);
-* **three-tier** — a ``TierPlanner`` (see :mod:`repro.dpu.planner`;
-  duck-typed here, ``repro.offload`` never imports ``repro.dpu``)
-  additionally steers warm stateful flows onto DPU devices. Each DPU
-  serves its steered flows through its bounded session table; whatever
-  it cannot serve — steering miss, session overflow, capacity punt,
-  failed device — falls back to the x86 side *within the same interval*
-  (nothing is silently lost), and failed devices are drained through
-  controller transactions at the top of every tick.
+Placement is one actor, the ``TierPlanner`` (see
+:mod:`repro.dpu.planner`; duck-typed here, ``repro.offload`` never
+imports ``repro.dpu``), and its device list is the only dimension: with
+no DPU devices the loop is the original Sailfish chip + x86 deployment;
+with devices, warm stateful flows are additionally steered onto them.
+Each DPU serves its steered flows through its bounded session table;
+whatever it cannot serve — steering miss, session overflow, capacity
+punt, failed device — falls back to the x86 side *within the same
+interval* (nothing is silently lost), and failed devices are drained
+through controller transactions at the top of every tick.
 
 Traffic accounting per interval:
 
-* flows whose :class:`~.scheduler.VipKey` is offloaded are served by the
-  XGW-H side — charged into a hardware :class:`CounterTable` (the
+* flows whose :class:`~.budget.VipKey` is placed on the chip are served
+  by the XGW-H side — charged into a hardware :class:`CounterTable` (the
   per-stage counters a Tofino sweep would read) and clipped at the
   chip's packet budget;
 * DPU-placed flows go through each device's rate model
@@ -38,14 +35,13 @@ Traffic accounting per interval:
 
 Telemetry is tier-labelled (``tier/chip/...``, ``tier/dpu/...``,
 ``tier/x86/...``, including per-tier ``cost-usd`` priced by
-:class:`~repro.core.economics.TierCostModel`); the original two-tier
-series names are kept as aliases so existing benches and dashboards
-stay green.
+:class:`~repro.core.economics.TierCostModel`); the ``tier/dpu/...``
+series exist iff the planner has devices.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..core.economics import TierCostModel
@@ -53,8 +49,8 @@ from ..sim.engine import Engine, PeriodicTask
 from ..tables.counter import CounterTable
 from ..workloads.flows import FlowSpec, split_flows_over_gateways
 from ..x86.gateway import IntervalReport, XgwX86
-from .detector import HeavyHitterDetector, sweep_counter_rates
-from .scheduler import OffloadScheduler, VipKey
+from .budget import VipKey
+from .detector import sweep_counter_rates
 
 
 def vip_of(spec: FlowSpec) -> VipKey:
@@ -72,8 +68,8 @@ class IntervalSnapshot:
     x86_max_core_util: float
     offloaded_pps: float
     hw_dropped_pps: float
-    # Three-tier extras; zero in two-tier mode, so every derived figure
-    # reduces to the original two-tier arithmetic there.
+    # Zero without DPU devices, so every derived figure reduces to the
+    # chip + x86 arithmetic there.
     dpu_offered_pps: float = 0.0
     dpu_served_pps: float = 0.0
     dpu_fallback_pps: float = 0.0
@@ -93,56 +89,37 @@ class IntervalSnapshot:
 
 
 class OffloadLoop:
-    """Wires detector + placement actor + gateway substrates to an engine.
+    """Wires the placement planner + gateway substrates to an engine.
 
     *workload* is called once per interval with the current engine time
     and returns the interval's offered :class:`FlowSpec` population.
-
-    Pass either ``scheduler`` + ``detector`` (two-tier) or ``planner``
-    (three-tier) — never both.
     """
 
     def __init__(
         self,
         engine: Engine,
         x86_gateways: Sequence[XgwX86],
-        scheduler: Optional[OffloadScheduler] = None,
-        detector: Optional[HeavyHitterDetector] = None,
-        workload: Optional[Callable[[float], List[FlowSpec]]] = None,
+        planner,
+        workload: Callable[[float], List[FlowSpec]],
         interval: float = 1.0,
-        planner=None,
         cost_model: Optional[TierCostModel] = None,
     ):
         if not x86_gateways:
             raise ValueError("need at least one XGW-x86 box")
-        if workload is None:
-            raise ValueError("workload is required")
         if interval <= 0:
             raise ValueError("interval must be positive")
-        if planner is None:
-            if scheduler is None or detector is None:
-                raise ValueError(
-                    "need scheduler+detector (two-tier) or planner (three-tier)")
-        elif scheduler is not None or detector is not None:
-            raise ValueError("pass scheduler+detector or planner, not both")
         self.engine = engine
         self.x86_gateways = list(x86_gateways)
-        self.scheduler = scheduler
-        self.detector = detector
         self.planner = planner
         self.workload = workload
         self.interval = interval
-        self._actor = planner if planner is not None else scheduler
-        if cost_model is not None:
-            self.cost_model = cost_model
-        else:
-            self.cost_model = getattr(self._actor, "cost_model", None) \
-                or TierCostModel()
+        self.cost_model = (cost_model if cost_model is not None
+                           else planner.cost_model)
         #: Per-stage hardware counters the XGW-H side sweeps each interval.
         self.hw_counters = CounterTable("offload-hw")
         self.snapshots: List[IntervalSnapshot] = []
         #: Per-core utilisation (Fig. 4 style), "gw<i>/core-<j>" series.
-        self.core_series = self._actor.series  # one bundle for the run
+        self.core_series = planner.series  # one bundle for the run
 
     # -- one interval -------------------------------------------------------
 
@@ -176,7 +153,7 @@ class OffloadLoop:
         return max(0.0, offered - capacity)
 
     def _hw_gateways(self):
-        cluster = self._actor.controller.clusters[self._actor.cluster_id]
+        cluster = self.planner.controller.clusters[self.planner.chip_cluster_id]
         return [m.gateway for m in cluster.active_members()]
 
     def _x86_rates(self, reports: Sequence[IntervalReport],
@@ -190,42 +167,6 @@ class OffloadLoop:
         return rates
 
     def tick(self) -> IntervalSnapshot:
-        if self.planner is not None:
-            return self._tick_three_tier()
-        return self._tick_two_tier()
-
-    def _tick_two_tier(self) -> IntervalSnapshot:
-        now = self.engine.now
-        flows = self.workload(now)
-        offloaded = [f for f in flows if self.scheduler.is_offloaded(vip_of(f))]
-        residual = [f for f in flows if not self.scheduler.is_offloaded(vip_of(f))]
-
-        reports = self._serve_x86(residual)
-        hw_dropped = self._serve_hw(offloaded)
-
-        # Per-VIP rates: x86 attribution from the interval reports,
-        # hardware attribution from the counter sweep.
-        rates = self._x86_rates(reports, residual)
-        for key, pps in sweep_counter_rates(self.hw_counters, self.interval).items():
-            rates[key] = rates.get(key, 0.0) + pps
-
-        self.scheduler.refresh_rates(rates)
-        decisions = self.detector.observe(rates)
-        self.scheduler.apply(decisions, now)
-
-        snapshot = IntervalSnapshot(
-            time=now,
-            x86_offered_pps=sum(r.offered_pps for r in reports),
-            x86_dropped_pps=sum(r.dropped_pps for r in reports),
-            x86_max_core_util=max(
-                (u for r in reports for u in r.utilizations()), default=0.0),
-            offloaded_pps=sum(f.pps for f in offloaded),
-            hw_dropped_pps=hw_dropped,
-        )
-        self._record_interval(snapshot, reports)
-        return snapshot
-
-    def _tick_three_tier(self) -> IntervalSnapshot:
         now = self.engine.now
         # Failed devices first: their VIPs must be re-steered before this
         # interval's traffic is partitioned.
@@ -289,8 +230,7 @@ class OffloadLoop:
                          reports: Sequence[IntervalReport]) -> None:
         self.snapshots.append(snapshot)
         now = snapshot.time
-        series = self._actor.series
-        # Tier-labelled series (canonical names).
+        series = self.core_series
         chip_served = snapshot.offloaded_pps - snapshot.hw_dropped_pps
         x86_served = snapshot.x86_offered_pps - snapshot.x86_dropped_pps
         series.record("tier/chip/offered-pps", now, snapshot.offloaded_pps)
@@ -302,17 +242,12 @@ class OffloadLoop:
         series.record("tier/x86/max-core-util", now, snapshot.x86_max_core_util)
         series.record("tier/x86/cost-usd", now, self.cost_model.cost_usd(
             "x86", x86_served * self.interval))
-        if self.planner is not None:
+        if self.planner.devices:
             series.record("tier/dpu/offered-pps", now, snapshot.dpu_offered_pps)
             series.record("tier/dpu/served-pps", now, snapshot.dpu_served_pps)
             series.record("tier/dpu/fallback-pps", now, snapshot.dpu_fallback_pps)
             series.record("tier/dpu/cost-usd", now, self.cost_model.cost_usd(
                 "dpu", snapshot.dpu_served_pps * self.interval))
-        # Legacy aliases (pre-tier names), kept so existing benches and
-        # dashboards — bench_offload_relief in particular — stay green.
-        series.record("x86-offered-pps", now, snapshot.x86_offered_pps)
-        series.record("x86-loss", now, snapshot.x86_loss)
-        series.record("x86-max-core-util", now, snapshot.x86_max_core_util)
         for gw_index, report in enumerate(reports):
             for core_index, util in enumerate(report.utilizations()):
                 series.record(f"gw{gw_index}/core-{core_index}", now, util)

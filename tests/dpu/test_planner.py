@@ -3,13 +3,12 @@ tiers, per-tier budgets with coldest-first eviction, byte-stable logs."""
 
 import pytest
 
-from tests.dpu.helpers import ip, make_detector, make_env
+from tests.dpu.helpers import ip, make_detector, make_env, seed_sessions
 
-from repro.dpu import DpuBudget, DpuDevice, Tier, TierDetector, TierPlanner
+from repro.dpu import Tier, TierDetector, TierPlanner
 from repro.faults import FaultInjector, FaultKind, FaultPlan, FaultSpec
-from repro.net.flow import FlowKey
-from repro.offload import HeavyHitterDetector, VipKey, decision_state_dump, entry_footprint
-from repro.offload.scheduler import ChipBudget
+from repro.offload import (ChipBudget, HeavyHitterDetector, VipKey,
+                           decision_state_dump, entry_footprint)
 
 VNI = 1000
 
@@ -18,19 +17,24 @@ def vip(host):
     return VipKey(VNI, ip(host))
 
 
-def seed_sessions(device, key, count=3):
-    for i in range(count):
-        device.sessions.ensure(
-            FlowKey(ip("10.8.0.1"), key.dst_ip, 17, 40000 + i, 4789),
-            (key.vni, key.dst_ip, key.version), now=0.0)
-
-
 class TestDetectorStacking:
     def test_boundaries_must_nest(self):
         with pytest.raises(ValueError):
             TierDetector(
                 chip=HeavyHitterDetector(theta_hi=50.0, theta_lo=20.0),
                 dpu=HeavyHitterDetector(theta_hi=100.0, theta_lo=40.0))
+
+    def test_single_boundary_without_a_dpu_detector(self):
+        det = TierDetector(chip=HeavyHitterDetector(
+            theta_hi=1000.0, theta_lo=400.0, promote_after=1, demote_after=1,
+            ewma_alpha=1.0))
+        key = vip("192.168.10.50")
+        assert det.observe({key: 200.0}) == []
+        assert [d.target for d in det.observe({key: 5000.0})] == [Tier.CHIP]
+        assert det.demotion_target(key, Tier.CHIP) is Tier.X86
+        assert [d.target for d in det.observe({key: 200.0})] == [Tier.X86]
+        det.mark_placed(key, Tier.X86)  # no dpu boundary to reset
+        assert det.target_tier(key) is Tier.X86
 
     def test_target_tier_follows_the_stacked_states(self):
         det = make_detector()
@@ -102,16 +106,8 @@ class TestTierMoves:
 
     def test_chip_eviction_spills_warm_victim_to_dpu(self):
         fp = entry_footprint(4)
-        ctrl = None
-        det = make_detector()
-        from tests.faults.helpers import make_controller, onboard
-        ctrl = make_controller()
-        cid, _r, _v = onboard(ctrl, vni=VNI)
-        chip_budget = ChipBudget(ctrl.clusters[cid],
-                                 sram_budget_words=2 * fp.sram_words,
-                                 tcam_budget_slices=2 * fp.tcam_slices)
-        devices = [DpuDevice("dpu-0", gateway_ip=0x0A00F000)]
-        planner = TierPlanner(ctrl, cid, chip_budget, devices, det)
+        _ctrl, _cid, planner, _devices = make_env(
+            sram=2 * fp.sram_words, num_devices=1)
         a, b, c = vip("192.168.10.50"), vip("192.168.10.51"), vip("192.168.10.52")
         planner.observe_and_apply({a: 2000.0, b: 3000.0}, now=1.0)
         assert planner.place_of(a)[0] == "chip"
@@ -207,7 +203,8 @@ class TestDeterminismAndState:
     def test_telemetry_series_are_tier_labelled(self):
         _ctrl, _cid, planner, _devices = make_env()
         planner.observe_and_apply({vip("192.168.10.50"): 200.0}, now=1.0)
-        for name in ("tier/chip/entries", "tier/dpu/entries",
-                     "tier/dpu/sessions", "tier/dpu/dpu-0/entry-occupancy",
-                     "offloaded-entries", "chip-sram-occupancy"):
+        for name in ("tier/chip/entries", "tier/chip/sram-occupancy",
+                     "tier/dpu/entries", "tier/dpu/sessions",
+                     "tier/dpu/dpu-0/entry-occupancy"):
             assert name in planner.series
+        assert all(n.startswith("tier/") for n in planner.series.names())

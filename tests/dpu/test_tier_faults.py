@@ -3,53 +3,15 @@ controller crash mid-migration leaves only audit-repairable residue."""
 
 import pytest
 
-from tests.dpu.helpers import ip, make_detector
-from tests.faults.helpers import make_controller, onboard
+from tests.dpu.helpers import build_loop, ip, make_env, seed_sessions
+from tests.faults.test_crash_recovery import recover_into_new_controller
 
 from repro.audit import AuditConfig, AuditScanner, RepairBridge
-from repro.cluster.ecmp import VniSteeredBalancer
-from repro.core.controller import Controller
-from repro.core.journal import ControllerCrash, Journal
-from repro.core.splitting import ClusterCapacity, TableSplitter
-from repro.dpu import DpuBudget, DpuDevice, DpuProfile, TierPlanner
+from repro.core.journal import ControllerCrash
 from repro.faults import FaultInjector, FaultKind, FaultPlan, FaultSpec
-from repro.net.flow import FlowKey
-from repro.offload import (
-    ChipBudget,
-    HeavyHitterDetector,
-    OffloadLoop,
-    VipKey,
-)
-from repro.sim.engine import Engine
-from repro.workloads.flows import heavy_hitter_flows
-from repro.x86.cpu import DEFAULT_CORE_PPS
-from repro.x86.gateway import XgwX86
+from repro.offload import VipKey
 
 VNI = 1000
-
-
-def build_env(journal=False, num_devices=2):
-    ctrl = make_controller()
-    if journal:
-        ctrl.journal = Journal()
-    cluster_id, _routes, _vms = onboard(ctrl, vni=VNI)
-    budget = ChipBudget(ctrl.clusters[cluster_id], sram_budget_words=64,
-                        tcam_budget_slices=128)
-    devices = [
-        DpuDevice(f"dpu-{i}", gateway_ip=0x0A00F000 + i,
-                  profile=DpuProfile(flow_table_entries=256,
-                                     session_capacity=1024))
-        for i in range(num_devices)
-    ]
-    planner = TierPlanner(ctrl, cluster_id, budget, devices, make_detector())
-    return ctrl, cluster_id, planner, devices
-
-
-def seed_sessions(device, key, count=3):
-    for i in range(count):
-        device.sessions.ensure(
-            FlowKey(ip("10.8.0.1"), key.dst_ip, 17, 40000 + i, 4789),
-            (key.vni, key.dst_ip, key.version), now=0.0)
 
 
 def steering_keys(gateway):
@@ -60,33 +22,8 @@ def steering_keys(gateway):
 
 class TestDeviceFailureDrain:
     def build_loop_with_outage(self, at_time=15.5, duration=30.0):
-        ctrl = make_controller()
-        cluster_id, _r, _v = onboard(ctrl, vni=VNI)
-        budget = ChipBudget(ctrl.clusters[cluster_id], sram_budget_words=64,
-                            tcam_budget_slices=128)
-        detector_seed = 7
-        from repro.dpu import TierDetector
-        detector = TierDetector(
-            chip=HeavyHitterDetector(
-                theta_hi=0.5 * DEFAULT_CORE_PPS,
-                theta_lo=0.2 * DEFAULT_CORE_PPS,
-                promote_after=2, demote_after=3, ewma_alpha=0.5,
-                seed=detector_seed),
-            dpu=HeavyHitterDetector(
-                theta_hi=0.08 * DEFAULT_CORE_PPS,
-                theta_lo=0.03 * DEFAULT_CORE_PPS,
-                promote_after=2, demote_after=3, ewma_alpha=0.5,
-                seed=detector_seed + 1),
-        )
-        devices = [DpuDevice(f"dpu-{i}", gateway_ip=0x0A00F000 + i)
-                   for i in range(2)]
-        planner = TierPlanner(ctrl, cluster_id, budget, devices, detector)
-        gateway = XgwX86(gateway_ip=0x0A000001)
-        flows = heavy_hitter_flows(100, 0.4 * gateway.total_capacity_pps,
-                                   seed=4, alpha=1.4, vnis=[VNI])
-        engine = Engine()
-        loop = OffloadLoop(engine, [gateway], workload=lambda _t: flows,
-                           planner=planner)
+        engine, loop, planner = build_loop(num_devices=2, seed=7)
+        ctrl = planner.controller
         plan = FaultPlan(seed=3, specs=[
             FaultSpec(FaultKind.DPU_DEVICE_FAIL, cluster="dpu-0",
                       at_time=at_time)])
@@ -123,7 +60,7 @@ class TestDeviceFailureDrain:
 
 class TestCrashMidMigration:
     def crash_mid_promotion(self):
-        ctrl, cluster_id, planner, devices = build_env(journal=True)
+        ctrl, cluster_id, planner, devices = make_env(journal=True)
         key = VipKey(VNI, ip("192.168.10.50"))
         planner.observe_and_apply({key: 200.0}, now=1.0)
         assert planner.place_of(key)[0] == "dpu"
@@ -159,11 +96,7 @@ class TestCrashMidMigration:
         device = ctrl.clusters[dev_name].find_member(dev_name).gateway
         # Controller process died: stand up a fresh one over the same
         # clusters and replay the journal (uncommitted txn is dropped).
-        recovered = Controller(
-            TableSplitter(ClusterCapacity(routes=50, vms=500,
-                                          traffic_bps=1e13)),
-            VniSteeredBalancer(), clusters=ctrl.clusters)
-        recovered.recover(ctrl.journal)
+        recovered, _writes = recover_into_new_controller(ctrl)
         assert (key.vni, key.prefix) not in recovered.desired_routes(dev_name)
 
         scanner = AuditScanner(recovered, AuditConfig(seed=3, budget=400))
@@ -183,7 +116,7 @@ class TestCrashMidMigration:
 
 class TestMultiTierSteering:
     def test_double_claim_is_detected_and_withdrawn(self):
-        ctrl, cluster_id, planner, _devices = build_env()
+        ctrl, cluster_id, planner, _devices = make_env()
         key = VipKey(VNI, ip("192.168.10.50"))
         planner.observe_and_apply({key: 200.0}, now=1.0)
         dev_name = planner.place_of(key)[1]

@@ -3,21 +3,13 @@ DPU shelf, tail and every DPU punt to x86 — all within one tick cycle."""
 
 import pytest
 
-from tests.dpu.helpers import ip, make_detector, make_env
+from tests.dpu.helpers import ip, make_detector, run_loop
 
-from repro.dpu import DpuBudget, DpuDevice, DpuProfile, TierDetector, TierPlanner
+from repro.dpu import DpuDevice, DpuProfile, TierPlanner
 from repro.net.flow import FlowKey
-from repro.offload import (
-    ChipBudget,
-    HeavyHitterDetector,
-    OffloadLoop,
-    OffloadScheduler,
-    vip_of,
-)
-from repro.offload.scheduler import VipKey
+from repro.offload import ChipBudget, OffloadLoop, vip_of
 from repro.sim.engine import Engine
-from repro.workloads.flows import FlowSpec, heavy_hitter_flows
-from repro.x86.cpu import DEFAULT_CORE_PPS
+from repro.workloads.flows import FlowSpec
 from repro.x86.gateway import XgwX86
 
 from tests.faults.helpers import make_controller, onboard
@@ -28,37 +20,9 @@ def spec(host, pps, src_port=40000):
                     pps=pps, vni=1000)
 
 
-def build_three_tier_loop(seed=7, load_fraction=0.4, duration=30.0,
-                          num_devices=2):
-    ctrl = make_controller()
-    cluster_id, _routes, _vms = onboard(ctrl, vni=1000)
-    budget = ChipBudget(ctrl.clusters[cluster_id], sram_budget_words=64,
-                        tcam_budget_slices=128)
-    detector = TierDetector(
-        chip=HeavyHitterDetector(
-            theta_hi=0.5 * DEFAULT_CORE_PPS, theta_lo=0.2 * DEFAULT_CORE_PPS,
-            promote_after=2, demote_after=3, ewma_alpha=0.5, seed=seed),
-        dpu=HeavyHitterDetector(
-            theta_hi=0.08 * DEFAULT_CORE_PPS, theta_lo=0.03 * DEFAULT_CORE_PPS,
-            promote_after=2, demote_after=3, ewma_alpha=0.5, seed=seed + 1),
-    )
-    devices = [DpuDevice(f"dpu-{i}", gateway_ip=0x0A00F000 + i)
-               for i in range(num_devices)]
-    planner = TierPlanner(ctrl, cluster_id, budget, devices, detector)
-    gateway = XgwX86(gateway_ip=0x0A000001)
-    flows = heavy_hitter_flows(100, load_fraction * gateway.total_capacity_pps,
-                               seed=4, alpha=1.4, vnis=[1000])
-    engine = Engine()
-    loop = OffloadLoop(engine, [gateway], workload=lambda _t: flows,
-                       planner=planner)
-    loop.start(until=duration)
-    engine.run(until=duration)
-    return loop, planner
-
-
 class TestThreeTierRelief:
     def test_overload_is_relieved_across_three_tiers(self):
-        loop, planner = build_three_tier_loop()
+        loop, planner = run_loop()
         first, last = loop.snapshots[0], loop.snapshots[-1]
         assert first.x86_max_core_util == 1.0 and first.x86_loss > 0.1
         assert last.x86_loss < 0.001
@@ -70,7 +34,7 @@ class TestThreeTierRelief:
         assert last.offloaded_pps > 0 and last.dpu_served_pps > 0
 
     def test_dpu_shelf_absorbs_the_warm_band(self):
-        loop, planner = build_three_tier_loop()
+        loop, planner = run_loop()
         last = loop.snapshots[-1]
         # Warm flows are served where they were steered: at steady state
         # the devices serve what they are offered (no punts).
@@ -82,26 +46,28 @@ class TestThreeTierRelief:
         assert chip_rate <= last.offloaded_pps * 1.01 + 1.0
 
     def test_decision_log_byte_identical_across_runs(self):
-        _l1, p1 = build_three_tier_loop(seed=7)
-        _l2, p2 = build_three_tier_loop(seed=7)
+        _l1, p1 = run_loop(seed=7)
+        _l2, p2 = run_loop(seed=7)
         assert p1.decision_log_text() == p2.decision_log_text()
         assert p1.decision_log_text()
 
-    def test_tier_series_and_legacy_aliases_recorded(self):
-        loop, planner = build_three_tier_loop(duration=5.0)
+    def test_tier_series_recorded(self):
+        loop, planner = run_loop(5.0)
         series = loop.core_series
         for name in ("tier/chip/offered-pps", "tier/chip/cost-usd",
                      "tier/dpu/offered-pps", "tier/dpu/served-pps",
                      "tier/dpu/fallback-pps", "tier/dpu/cost-usd",
                      "tier/x86/offered-pps", "tier/x86/cost-usd",
-                     "x86-offered-pps", "x86-loss", "x86-max-core-util",
                      "gw0/core-0"):
             assert name in series, name
+        # One vocabulary: nothing outside the tier/ and per-box names.
+        assert all(name.startswith(("tier/", "gw"))
+                   for name in series.names())
 
     def test_cost_frontier_beats_all_x86(self):
         """Serving the same packets with the tiers engaged must cost less
         than the all-x86 opening interval (chip/dpu are cheaper per Mpkt)."""
-        loop, _planner = build_three_tier_loop()
+        loop, _planner = run_loop()
         series = loop.core_series
         def tick_cost(index):
             return sum(series[f"tier/{tier}/cost-usd"].values[index]
@@ -146,38 +112,13 @@ class TestFallbackPath:
 
 
 class TestModeValidation:
-    def test_planner_and_scheduler_are_mutually_exclusive(self):
-        ctrl, cluster_id, planner, _devices = make_env()
-        budget = ChipBudget(ctrl.clusters[cluster_id], sram_budget_words=8,
-                            tcam_budget_slices=16)
-        detector = HeavyHitterDetector(theta_hi=100.0, theta_lo=40.0)
-        scheduler = OffloadScheduler(ctrl, cluster_id, budget,
-                                     detector=detector)
-        engine = Engine()
-        with pytest.raises(ValueError):
-            OffloadLoop(engine, [XgwX86(gateway_ip=0x0A000001)],
-                        scheduler, detector, workload=lambda _t: [],
-                        planner=planner)
-        with pytest.raises(ValueError):
-            OffloadLoop(engine, [XgwX86(gateway_ip=0x0A000001)],
-                        workload=lambda _t: [])
-
     def test_two_tier_mode_records_no_dpu_series(self):
-        ctrl = make_controller()
-        cluster_id, _r, _v = onboard(ctrl, vni=1000)
-        budget = ChipBudget(ctrl.clusters[cluster_id], sram_budget_words=64,
-                            tcam_budget_slices=128)
-        detector = HeavyHitterDetector(
-            theta_hi=0.5 * DEFAULT_CORE_PPS, theta_lo=0.2 * DEFAULT_CORE_PPS,
-            promote_after=2, demote_after=3, ewma_alpha=0.5, seed=7)
-        scheduler = OffloadScheduler(ctrl, cluster_id, budget,
-                                     detector=detector)
-        engine = Engine()
-        loop = OffloadLoop(engine, [XgwX86(gateway_ip=0x0A000001)], scheduler,
-                           detector, workload=lambda _t: [spec("192.168.10.50",
-                                                               100.0)])
-        loop.start(until=3.0)
-        engine.run(until=3.0)
+        """The device list is the only mode: with none, the loop and the
+        planner record no ``tier/dpu/*`` series at all."""
+        loop, planner = run_loop(3.0, num_devices=0)
+        assert planner.devices == {}
         assert "tier/chip/offered-pps" in loop.core_series
-        assert "tier/dpu/offered-pps" not in loop.core_series
+        assert "tier/chip/entries" in loop.core_series
+        assert not any(name.startswith("tier/dpu/")
+                       for name in loop.core_series.names())
         assert loop.snapshots[-1].dpu_offered_pps == 0.0

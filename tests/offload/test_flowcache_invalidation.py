@@ -17,9 +17,9 @@ from repro.core.controller import Controller, RouteEntry, VmEntry
 from repro.core.splitting import ClusterCapacity, TableSplitter, TenantProfile
 from repro.core.xgw_h import XgwH
 from repro.dataplane.gateway_logic import ForwardAction
+from repro.dpu import Tier, TierDetector, TierPlanner
 from repro.net.addr import Prefix
-from repro.offload.detector import HeavyHitterDetector
-from repro.offload.scheduler import ChipBudget, OffloadScheduler, VipKey
+from repro.offload import ChipBudget, HeavyHitterDetector, VipKey
 from repro.tables.vm_nc import NcBinding
 from repro.tables.vxlan_routing import RouteAction, Scope
 from repro.workloads.traffic import build_vxlan_packet
@@ -83,22 +83,21 @@ def test_offload_promotion_invalidates_cached_decisions():
     assert gw.flow_cache.hits == 1
 
     # The real detector promotes the VIP after sustained load; the
-    # scheduler turns that into a controller transaction on the cluster.
+    # planner turns that into a controller transaction on the cluster.
     vip = VipKey(VNI, VM_IP)
-    detector = HeavyHitterDetector(theta_hi=100.0, theta_lo=40.0,
-                                   promote_after=2, ewma_alpha=1.0)
-    sched = OffloadScheduler(
+    planner = TierPlanner(
         ctrl, cluster_id,
         ChipBudget(ctrl.clusters[cluster_id], sram_budget_words=8,
                    tcam_budget_slices=64),
-        detector=detector,
+        [],
+        TierDetector(chip=HeavyHitterDetector(
+            theta_hi=100.0, theta_lo=40.0, promote_after=2, ewma_alpha=1.0)),
     )
     gen_before = gw.tables.routing.generation
-    sched.apply(detector.observe({vip: 500.0}), now=1.0)  # arming interval
-    decisions = detector.observe({vip: 500.0})
-    assert [d.kind for d in decisions] == ["promote"]
-    sched.apply(decisions, now=2.0)
-    assert sched.is_offloaded(vip)
+    assert planner.observe_and_apply({vip: 500.0}, now=1.0) == []  # arming
+    decisions = planner.observe_and_apply({vip: 500.0}, now=2.0)
+    assert [d.target for d in decisions] == [Tier.CHIP]
+    assert planner.place_of(vip) == ("chip", None)
     assert gw.tables.routing.generation > gen_before
 
     # The stale cached decision must not be served: the next forward

@@ -2,45 +2,20 @@
 
 import pytest
 
-from tests.faults.helpers import make_controller, onboard
+from tests.dpu.helpers import run_loop
 
-from repro.offload import (
-    ChipBudget,
-    HeavyHitterDetector,
-    IntervalSnapshot,
-    OffloadLoop,
-    OffloadScheduler,
-    vip_of,
-)
+from repro.offload import IntervalSnapshot, OffloadLoop, vip_of
 from repro.sim.engine import Engine
-from repro.workloads.flows import heavy_hitter_flows
-from repro.x86.cpu import DEFAULT_CORE_PPS
-from repro.x86.gateway import XgwX86
 
 
-def build_loop(seed=7, load_fraction=0.4, sram=64, duration=30.0):
-    ctrl = make_controller()
-    cluster_id, _routes, _vms = onboard(ctrl, vni=1000)
-    budget = ChipBudget(ctrl.clusters[cluster_id], sram_budget_words=sram,
-                        tcam_budget_slices=2 * sram)
-    detector = HeavyHitterDetector(
-        theta_hi=0.5 * DEFAULT_CORE_PPS, theta_lo=0.2 * DEFAULT_CORE_PPS,
-        promote_after=2, demote_after=3, ewma_alpha=0.5, seed=seed)
-    scheduler = OffloadScheduler(ctrl, cluster_id, budget, detector=detector)
-    gateway = XgwX86(gateway_ip=0x0A000001)
-    flows = heavy_hitter_flows(100, load_fraction * gateway.total_capacity_pps,
-                               seed=4, alpha=1.4, vnis=[1000])
-    engine = Engine()
-    loop = OffloadLoop(engine, [gateway], scheduler, detector,
-                       lambda _t: flows)
-    loop.start(until=duration)
-    engine.run(until=duration)
-    return loop, scheduler
+def build_loop(seed=7, duration=30.0):
+    """The chip + x86 deployment: a planner with no DPU devices."""
+    return run_loop(duration, num_devices=0, seed=seed)
 
 
 class TestOffloadRelief:
     def test_overload_is_relieved(self):
-        loop, scheduler = build_loop()
+        loop, planner = build_loop()
         first, last = loop.snapshots[0], loop.snapshots[-1]
         # Before offload: saturated cores, heavy loss (Fig. 4 regime).
         assert first.x86_max_core_util == 1.0
@@ -48,43 +23,47 @@ class TestOffloadRelief:
         # After: elephants on the chip, x86 comfortably below capacity.
         assert last.x86_loss < 0.001
         assert last.x86_max_core_util < 0.9
-        assert len(scheduler.offloaded) > 0
+        assert planner.keys_on("chip")
         assert last.offloaded_pps > first.offloaded_pps
 
     def test_no_flapping_at_steady_state(self):
-        _loop, scheduler = build_loop()
+        _loop, planner = build_loop()
         # Elephants promote once and stay: zero demotes in the log.
-        assert scheduler.counters["demotions"] == 0
-        assert scheduler.counters["promotions"] == len(scheduler.offloaded)
+        assert planner.counters["demotions"] == 0
+        assert planner.counters["evictions"] == 0
+        assert planner.counters["promotions"] == len(planner.keys_on("chip"))
 
     def test_occupancy_within_capacity(self):
-        _loop, scheduler = build_loop()
-        occ = scheduler.budget.occupancy()
+        _loop, planner = build_loop()
+        budget = planner.chip_budget
+        occ = budget.occupancy()
         assert 0.0 < occ["sram"] <= 1.0
         assert 0.0 < occ["tcam"] <= 1.0
-        used, cap = scheduler.budget.used, scheduler.budget.capacity()
+        used, cap = budget.used, budget.capacity()
         assert used.sram_words <= cap.sram_words
         assert used.tcam_slices <= cap.tcam_slices
 
     def test_decision_log_byte_identical_across_runs(self):
-        _l1, s1 = build_loop(seed=7)
-        _l2, s2 = build_loop(seed=7)
-        assert s1.decision_log_text() == s2.decision_log_text()
-        assert s1.decision_log_text()  # non-empty
+        _l1, p1 = build_loop(seed=7)
+        _l2, p2 = build_loop(seed=7)
+        assert p1.decision_log_text() == p2.decision_log_text()
+        assert p1.decision_log_text()  # non-empty
 
     def test_hw_side_keeps_feeding_the_detector(self):
         """Offloaded VIPs keep a live rate through the counter sweep, so
         they stay HOT instead of decaying toward demotion."""
-        loop, scheduler = build_loop()
-        for key in scheduler.offloaded:
-            assert scheduler.detector.smoothed_rate(key) > \
-                scheduler.detector.theta_lo
+        _loop, planner = build_loop()
+        chip = planner.detector.chip
+        for key in planner.keys_on("chip"):
+            assert chip.smoothed_rate(key) > chip.theta_lo
 
     def test_telemetry_series_cover_both_substrates(self):
-        loop, scheduler = build_loop(duration=5.0)
-        series = scheduler.series
-        for name in ("x86-offered-pps", "x86-loss", "x86-max-core-util",
-                     "offloaded-pps", "chip-sram-occupancy"):
+        loop, planner = build_loop(duration=5.0)
+        series = loop.core_series
+        assert series is planner.series
+        for name in ("tier/x86/offered-pps", "tier/x86/dropped-pps",
+                     "tier/x86/max-core-util", "tier/chip/offered-pps",
+                     "tier/chip/sram-occupancy"):
             assert name in series
         # Per-core utilisation series (Fig. 4 style) exist.
         assert "gw0/core-0" in series
@@ -99,12 +78,15 @@ class TestOffloadRelief:
         assert empty.x86_loss == 0.0 and empty.total_loss == 0.0
 
     def test_vip_of_groups_by_destination(self):
-        loop, _sched = build_loop(duration=2.0)
+        loop, _planner = build_loop(duration=2.0)
         flows = loop.workload(0.0)
         keys = {vip_of(f) for f in flows}
         assert all(k.vni == 1000 for k in keys)
 
     def test_loop_validation(self):
-        engine = Engine()
+        _loop, planner = build_loop(duration=1.0)
         with pytest.raises(ValueError):
-            OffloadLoop(engine, [], None, None, lambda _t: [])
+            OffloadLoop(Engine(), [], planner, lambda _t: [])
+        with pytest.raises(ValueError):
+            OffloadLoop(Engine(), _loop.x86_gateways, planner, lambda _t: [],
+                        interval=0.0)

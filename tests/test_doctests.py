@@ -46,7 +46,7 @@ import repro.dpu.device
 import repro.dpu.planner
 import repro.offload.detector
 import repro.offload.parity
-import repro.offload.scheduler
+import repro.offload.budget
 import repro.offload.sketch
 import repro.telemetry.stats
 import repro.telemetry.timeseries
@@ -84,7 +84,7 @@ MODULES = [
     repro.fuzz.corpus,
     repro.offload.detector,
     repro.offload.parity,
-    repro.offload.scheduler,
+    repro.offload.budget,
     repro.offload.sketch,
     repro.dpu.budget,
     repro.dpu.device,
