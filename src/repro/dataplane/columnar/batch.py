@@ -82,39 +82,49 @@ class PacketBatch:
         keys_append = keys.append
         sizes_append = sizes.append
         for i, p in enumerate(packets):
-            vx = p.vxlan
-            if vx is None:
-                keys_append(None)
-                sizes_append(0)
-                nonvxlan.append(i)
-                vnis.append(0)
-                srcs.append(0)
-                dsts.append(0)
-                protos.append(0)
-                sports.append(0)
-                dports.append(0)
-                is_vx.append(False)
-                continue
-            inner = p.inner
-            iip = inner.ip
-            l4 = inner.l4
-            vni = vx.vni
-            dst = iip.dst
-            keys_append((vni, dst, iip.version))
-            size = (_VXLAN_FIXED_LEN + p.ip.WIRE_LEN + iip.WIRE_LEN
-                    + len(inner.payload))
-            vnis.append(vni)
-            srcs.append(iip.src)
-            dsts.append(dst)
-            protos.append(iip.proto)
-            if l4 is None:
-                sports.append(0)
-                dports.append(0)
+            vector = p._vector
+            if vector is not None:
+                # An imaged packet (net.packet, "the wire image"): its
+                # parsed header vector already is this lane's column values.
+                vni, src, dst, proto, sport, dport, version, size, _, _, _ = vector
             else:
-                size += l4.WIRE_LEN
-                sports.append(l4.src_port)
-                dports.append(l4.dst_port)
+                vx = p.vxlan
+                if vx is None:
+                    keys_append(None)
+                    sizes_append(0)
+                    nonvxlan.append(i)
+                    vnis.append(0)
+                    srcs.append(0)
+                    dsts.append(0)
+                    protos.append(0)
+                    sports.append(0)
+                    dports.append(0)
+                    is_vx.append(False)
+                    continue
+                inner = p.inner
+                iip = inner.ip
+                l4 = inner.l4
+                vni = vx.vni
+                src = iip.src
+                dst = iip.dst
+                proto = iip.proto
+                version = iip.version
+                size = (_VXLAN_FIXED_LEN + p.ip.WIRE_LEN + iip.WIRE_LEN
+                        + len(inner.payload))
+                if l4 is None:
+                    sport = dport = 0
+                else:
+                    size += l4.WIRE_LEN
+                    sport = l4.src_port
+                    dport = l4.dst_port
+            keys_append((vni, dst, version))
             sizes_append(size)
+            vnis.append(vni)
+            srcs.append(src)
+            dsts.append(dst)
+            protos.append(proto)
+            sports.append(sport)
+            dports.append(dport)
             is_vx.append(True)
         self.keys = keys
         self.sizes = sizes

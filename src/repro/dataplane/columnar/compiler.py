@@ -22,10 +22,9 @@ array operations instead of ALUs:
    lifetime; the memo is discarded with the program when any table
    generation moves.
 4. **assemble** — decisions scatter-gather back into per-lane
-   :class:`~repro.dataplane.gateway_logic.ForwardResult` objects, with
-   DELIVER rewrites replayed from a captured header template
-   (identical input headers yield identical — shared, immutable —
-   output headers, the flow cache's rewrite-result trick).
+   :class:`~repro.dataplane.gateway_logic.ForwardResult` objects, each
+   DELIVER lane rewritten by ``Packet.rewritten`` (on a packet decoded
+   from the wire: a pending patch of its kept frame, no header built).
 
 Per-packet verdicts (ACL deny, meter red) are never memoized; counters
 and meters settle to byte-identical state vs the scalar oracle
@@ -49,7 +48,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from ...net.headers import VXLAN, unchecked
+from ...net.headers import unchecked
 from ...net.packet import Packet
 from ...tables.acl import AclVerdict
 from ...tables.errors import MissingEntryError
@@ -96,14 +95,12 @@ _result = unchecked(ForwardResult)
 class KeyDecision:
     """The memoized terminal decision for one (VNI, dst, version) key.
 
-    Mirrors :class:`~repro.dataplane.flowcache.CacheEntry`, with the
-    rewrite template captured lazily on the first :meth:`build` and a
+    Mirrors :class:`~repro.dataplane.flowcache.CacheEntry`, with a
     prototype (packet, result) pair so replayed bursts of interned
     packets reuse the frozen result object instead of re-allocating it.
     """
 
     __slots__ = ("action", "detail", "resolved_vni", "nc_ip", "rewrite_vni",
-                 "outer_in", "outer_out", "vx_flags", "vx_out",
                  "proto_packet", "proto_result")
 
     def __init__(self):
@@ -112,10 +109,6 @@ class KeyDecision:
         self.resolved_vni: Optional[int] = None
         self.nc_ip: Optional[int] = None
         self.rewrite_vni: Optional[int] = None
-        self.outer_in = None
-        self.outer_out = None
-        self.vx_flags: Optional[int] = None
-        self.vx_out = None
         self.proto_packet: Optional[Packet] = None
         self.proto_result: Optional[ForwardResult] = None
 
@@ -127,27 +120,7 @@ class KeyDecision:
         """
         action = self.action
         if action is _DELIVER:
-            pip = packet.ip
-            outer_in = self.outer_in
-            if pip is outer_in or pip == outer_in:
-                new_ip = self.outer_out
-            else:
-                new_ip = pip.replace_src_dst(gateway_ip, self.nc_ip)
-                if outer_in is None:
-                    self.outer_in = pip
-                    self.outer_out = new_ip
-            vxlan = packet.vxlan
-            if self.rewrite_vni is not None:
-                flags = vxlan.flags
-                if flags == self.vx_flags:
-                    vxlan = self.vx_out
-                else:
-                    new_vx = VXLAN(vni=self.rewrite_vni, flags=flags)
-                    if self.vx_flags is None:
-                        self.vx_flags = flags
-                        self.vx_out = new_vx
-                    vxlan = new_vx
-            out = packet.with_outer(new_ip, vxlan)
+            out = packet.rewritten(gateway_ip, self.nc_ip, self.rewrite_vni)
             if hw:
                 result = _result(action, out, "local", None, self.nc_ip)
             else:
@@ -297,8 +270,8 @@ class CompiledProgram:
     """One gateway's placed program, compiled for whole-burst execution.
 
     Valid only while :attr:`generations` equals the live table
-    generation vector — the owner recompiles (dropping the key memo and
-    rewrite templates) whenever any guarded table mutates, exactly like
+    generation vector — the owner recompiles (dropping the key memo)
+    whenever any guarded table mutates, exactly like
     a stale flow-cache entry.
     """
 

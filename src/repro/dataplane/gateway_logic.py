@@ -168,7 +168,12 @@ class GatewayTables:
 
 
 def inner_flow_key(packet: Packet) -> FlowKey:
-    """The inner 5-tuple as a :class:`FlowKey`."""
+    """The inner 5-tuple as a :class:`FlowKey` (read from the header
+    vector of a packet that kept its wire image, building no header)."""
+    vector = packet._vector
+    if vector is not None:
+        return FlowKey(vector[1], vector[2], vector[3], vector[4], vector[5],
+                       version=vector[6])
     src, dst, proto, sport, dport = packet.inner.five_tuple()
     return FlowKey(src, dst, proto, sport, dport, version=packet.inner_version)
 
@@ -212,10 +217,9 @@ def forward(
             return ForwardResult(
                 ForwardAction.DROP, packet, detail=DropReason.NO_VM.value, resolved_vni=resolution.vni
             )
-        out = packet
-        if resolution.vni != vni:
-            out = out.with_vni(resolution.vni)
-        out = out.with_outer_src(gateway_ip).with_outer_dst(binding.nc_ip)
+        out = packet.rewritten(
+            gateway_ip, binding.nc_ip,
+            resolution.vni if resolution.vni != vni else None)
         return ForwardResult(
             ForwardAction.DELIVER_NC,
             out,

@@ -63,10 +63,9 @@ class SnatService:
         except TableFullError:
             self.failures += 1
             return ForwardResult(ForwardAction.DROP, packet, detail=DropReason.SNAT_POOL_EXHAUSTED.value)
-        self._contexts.setdefault(
-            flow, _SessionContext(vni=packet.vni, inner_eth=packet.inner.eth)
-        )
         plain = packet.decap()
+        if flow not in self._contexts:
+            self._contexts[flow] = _SessionContext(vni=packet.vni, inner_eth=plain.eth)
         plain = replace(
             plain,
             ip=plain.ip.replace_src(session.public_ip),

@@ -56,7 +56,7 @@ class HeaderError(ValueError):
     """Raised when bytes cannot be decoded as the expected header."""
 
 
-def unchecked(cls):
+def unchecked(cls, only=None):
     """A fast positional constructor for the frozen slotted dataclass *cls*.
 
     A frozen dataclass's generated ``__init__`` stores every field through
@@ -67,6 +67,9 @@ def unchecked(cls):
     to *cls* -- an assignment CPython permits exactly because the layouts
     agree. The result is an ordinary, frozen *cls* instance.
 
+    With *only* (field names), the constructor takes exactly those fields
+    and leaves every other slot unset.
+
     It runs no ``__post_init__``: it is for codec-internal callers whose
     own control flow establishes what ``__post_init__`` would check.
     """
@@ -74,10 +77,10 @@ def unchecked(cls):
     namespace = {"new": object.__new__, "twin": twin, "cls": cls}
     params, stores = [], []
     for f in fields(cls):
-        if f.init:
+        if f.name in only if only is not None else f.init:
             params.append(f.name)
             stores.append(f"    self.{f.name} = {f.name}")
-        else:
+        elif only is None:
             namespace[f"default_{f.name}"] = f.default
             stores.append(f"    self.{f.name} = default_{f.name}")
     source = "\n".join(

@@ -1,17 +1,26 @@
 """Packet model: plain and VXLAN-encapsulated packets.
 
-The simulator mostly moves :class:`Packet` objects around in structured
-form (decoded headers + payload) and only serialises to bytes at the
-"wire" boundaries, mirroring how a real pipeline keeps parsed header
-vectors. Round-tripping through :meth:`Packet.to_bytes` and
+The simulator moves :class:`Packet` objects around in structured form
+(decoded headers + payload) and serialises to bytes at the "wire"
+boundaries. Round-tripping through :meth:`Packet.to_bytes` and
 :meth:`Packet.from_bytes` is byte-exact and covered by property tests.
 Decoding is one pass over the buffer with a running offset through the
 ``read_*`` functions of :mod:`repro.net.headers`.
+
+A packet decoded from a *canonical* VXLAN frame (one :func:`_probe`
+accepts: every byte survives ``from_bytes(f).to_bytes()``) keeps its wire
+image instead, the way a switch pipeline keeps the frame beside its parsed
+header vector: the frame's bytes, the vector of the fields the forwarding
+program reads, and a pending outer rewrite. Its header objects are built
+by the same eager reader on first touch; the accessors the data plane
+uses read the vector and ``to_bytes`` patches the rewrite into the kept
+bytes (DESIGN section 15, "The wire image").
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from struct import Struct
 from typing import Optional, Union
 
 from .headers import (
@@ -19,9 +28,11 @@ from .headers import (
     ETHERTYPE_IPV4,
     ETHERTYPE_IPV6,
     IPV4_MIN_LEN,
+    IPV6_LEN,
     PROTO_TCP,
     PROTO_UDP,
     TCP_MIN_LEN,
+    UDP_LEN,
     VXLAN_LEN,
     VXLAN_PORT,
     Ethernet,
@@ -31,6 +42,7 @@ from .headers import (
     TCP,
     UDP,
     VXLAN,
+    _IPV4_VER_IHL,
     read_ethernet,
     read_ipv4,
     read_ipv6,
@@ -97,6 +109,112 @@ def _read_frame(raw, off: int, end: int, where: str):
     return eth, ip, l4, off, dropped
 
 
+def _read_packet(raw):
+    """The six :class:`Packet` fields of the frame in *raw* -- the eager
+    reader, and the only decode code that raises :class:`HeaderError`."""
+    end = len(raw)
+    eth, ip, l4, off, _dropped = _read_frame(raw, 0, end, "")
+    if type(l4) is UDP and l4.dst_port == VXLAN_PORT:
+        vxlan, off = read_vxlan(raw, off, end)
+        inner_eth, inner_ip, inner_l4, off, dropped = _read_frame(
+            raw, off, end, "inner frame ")
+        if dropped:
+            ip = _shortened(ip, dropped)
+            l4 = replace(l4, length=max(l4.length - dropped, 0))
+        inner = _inner_frame(inner_eth, inner_ip, inner_l4, _payload(raw, off))
+        # This branch is what __post_init__ checks: outer UDP, vxlan
+        # and inner together (and neither in the branch below).
+        return eth, ip, l4, vxlan, inner, b""
+    return eth, ip, l4, None, None, _payload(raw, off)
+
+
+# -- the wire image: probe once, keep the frame ------------------------------
+#
+# Offsets of a canonical frame: outer Ethernet 0, outer IPv4 14 (checksum 24,
+# src 26, dst 30), outer UDP 34, VXLAN 42 (VNI word 46), inner Ethernet 50,
+# inner IP 64, inner L4 84 (IPv4) or 104 (IPv6). An IPv4 header is read as
+# its 16-bit words, whose plain sum is what IPv4.pack's checksum negates.
+
+_INNER_OFF = ETH_LEN + IPV4_MIN_LEN + UDP_LEN + VXLAN_LEN
+_INNER_IP_OFF = _INNER_OFF + ETH_LEN
+_TUNNEL = Struct("!12xH HHHHHHII HHHH II 12xH")  # up to the inner ethertype
+_IPV4_WORDS = Struct("!HHHHHHII")
+_IPV6_WORDS = Struct("!IH2BQQQQ")
+_UDP_FIELDS = Struct("!HHH")
+_TCP_FIELDS = Struct("!HH8xH4xH")  # ports, offset+flags, urgent pointer
+_OUTER_PATCH = Struct("!HII")  # checksum, src, dst at offset 24
+
+
+def _probe(raw):
+    """The header vector of the canonical VXLAN frame in *raw*, else None.
+
+    Canonical means every byte survives ``from_bytes(raw).to_bytes()`` and
+    an outer rewrite is the ten IPv4 bytes (and VNI word) ``to_bytes``
+    patches: outer Ethernet / IPv4 (IHL 5, fragment offset 0, the checksum
+    ``IPv4.pack`` computes, ``total_length`` covering the frame) / UDP to
+    4789 (length nonzero) / VXLAN (I flag, reserved bytes zero) over inner
+    Ethernet / IPv4 (same conditions, ``total_length`` nonzero) or IPv6
+    (``payload_length`` nonzero) / UDP (length nonzero), TCP (data offset
+    5, reserved bits and urgent pointer zero) or any other protocol. It
+    never raises: whatever it declines is the eager reader's to judge.
+
+    The vector is ``(vni, inner src, inner dst, proto, sport, dport, inner
+    version, wire length, outer src, outer dst, sum of the outer IPv4
+    header's other words)``.
+    """
+    n = len(raw)
+    if n < _INNER_IP_OFF + IPV4_MIN_LEN:
+        return None
+    (ethertype, ver_tos, total, ident, frag, ttl_proto, csum, outer_src, outer_dst,
+     _sport, dport, udp_len, _udp_csum, vx_flags, vx_vni,
+     inner_type) = _TUNNEL.unpack_from(raw, 0)
+    kept = ver_tos + total + ident + frag + ttl_proto
+    if (ethertype != ETHERTYPE_IPV4 or ver_tos >> 8 != _IPV4_VER_IHL
+            or frag & 0x1FFF or total != n - ETH_LEN
+            or ttl_proto & 0xFF != PROTO_UDP
+            or csum != -(kept + outer_src + outer_dst) % 0xFFFF
+            or dport != VXLAN_PORT or not udp_len
+            or vx_flags & 0x08FFFFFF != 0x08000000 or vx_vni & 0xFF):
+        return None
+    if inner_type == ETHERTYPE_IPV4:
+        ver_tos, total, ident, frag, ttl_proto, csum, src, dst = (
+            _IPV4_WORDS.unpack_from(raw, _INNER_IP_OFF))
+        if (ver_tos >> 8 != _IPV4_VER_IHL or frag & 0x1FFF or not total
+                or csum != -(ver_tos + total + ident + frag + ttl_proto
+                             + src + dst) % 0xFFFF):
+            return None
+        version = 4
+        proto = ttl_proto & 0xFF
+        l4_off = _INNER_IP_OFF + IPV4_MIN_LEN
+    elif inner_type == ETHERTYPE_IPV6 and n >= _INNER_IP_OFF + IPV6_LEN:
+        first, plen, proto, _hops, src_hi, src_lo, dst_hi, dst_lo = (
+            _IPV6_WORDS.unpack_from(raw, _INNER_IP_OFF))
+        if first >> 28 != 6 or not plen:
+            return None
+        version = 6
+        src = (src_hi << 64) | src_lo
+        dst = (dst_hi << 64) | dst_lo
+        l4_off = _INNER_IP_OFF + IPV6_LEN
+    else:
+        return None
+    if proto == PROTO_UDP:
+        if n < l4_off + UDP_LEN:
+            return None
+        sport, dport, udp_len = _UDP_FIELDS.unpack_from(raw, l4_off)
+        if not udp_len:
+            return None
+    elif proto == PROTO_TCP:
+        if n < l4_off + TCP_MIN_LEN:
+            return None
+        sport, dport, offset_flags, urgent = _TCP_FIELDS.unpack_from(raw, l4_off)
+        if offset_flags & 0xFE00 != 0x5000 or urgent:
+            return None
+    else:
+        sport = dport = 0
+    return (vx_vni >> 8, src, dst, proto, sport, dport, version, n,
+            outer_src, outer_dst, kept)
+
+
 @dataclass(frozen=True, slots=True)
 class InnerFrame:
     """The frame carried inside a VXLAN tunnel: Ethernet + IP + L4 + payload."""
@@ -138,6 +256,12 @@ class Packet:
     For VXLAN traffic, ``vxlan`` and ``inner`` are set and the outer L4 is a
     UDP header with destination port 4789. Plain packets carry ``payload``
     directly and have ``vxlan is None``.
+
+    The three private fields are the wire image of a packet decoded from a
+    canonical frame (``None`` on every other packet) and are not API: the
+    frame's bytes, the header vector :func:`_probe` returned (with the
+    current VNI first) and the pending outer rewrite ``(src, dst, vni)``,
+    ``None`` marking what the frame's own bytes still say.
     """
 
     eth: Ethernet
@@ -147,11 +271,41 @@ class Packet:
     inner: Optional[InnerFrame] = None
     payload: bytes = b""
 
+    _frame: Optional[bytes] = field(default=None, init=False, compare=False, repr=False)
+    _vector: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
+    _pending: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
+
     def __post_init__(self):
         if (self.vxlan is None) != (self.inner is None):
             raise ValueError("vxlan and inner must be set together")
         if self.vxlan is not None and not isinstance(self.l4, UDP):
             raise ValueError("VXLAN packets require an outer UDP header")
+
+    def __getattr__(self, name):
+        """Build the header objects of an imaged packet on first touch.
+
+        CPython calls this only when ordinary lookup failed, which for a
+        header field means ``from_bytes`` left its slot unset: the eager
+        reader runs over the kept frame, the pending rewrite is applied the
+        way the ``with_*`` methods apply it to objects, and all six slots
+        are filled -- from then on the packet is an ordinary one that also
+        has an image. ``==``, ``hash``, ``repr``, ``replace`` and pickling
+        read fields by name and so see exactly the eager packet.
+        """
+        if name not in _HEADER_FIELDS:
+            raise AttributeError(name)
+        eth, ip, l4, vxlan, inner, payload = _read_packet(self._frame)
+        if self._pending is not None:
+            src, dst, vni = self._pending
+            if src is not None or dst is not None:
+                ip = ip.replace_src_dst(ip.src if src is None else src,
+                                        ip.dst if dst is None else dst)
+            if vni is not None:
+                vxlan = VXLAN(vni=vni, flags=vxlan.flags)
+        store = object.__setattr__
+        for field_name, value in zip(_HEADER_FIELDS, (eth, ip, l4, vxlan, inner, payload)):
+            store(self, field_name, value)
+        return object.__getattribute__(self, name)
 
     # -- constructors ---------------------------------------------------
 
@@ -179,26 +333,35 @@ class Packet:
             inner=inner,
         )
 
-    # -- accessors ------------------------------------------------------
+    # -- accessors (an imaged packet answers from its vector) -------------
 
     @property
     def is_vxlan(self) -> bool:
-        return self.vxlan is not None
+        return self._vector is not None or self.vxlan is not None
 
     @property
     def vni(self) -> int:
+        vector = self._vector
+        if vector is not None:
+            return vector[0]
         if self.vxlan is None:
             raise HeaderError("not a VXLAN packet")
         return self.vxlan.vni
 
     @property
     def inner_dst(self) -> int:
+        vector = self._vector
+        if vector is not None:
+            return vector[2]
         if self.inner is None:
             raise HeaderError("not a VXLAN packet")
         return self.inner.ip.dst
 
     @property
     def inner_version(self) -> int:
+        vector = self._vector
+        if vector is not None:
+            return vector[6]
         if self.inner is None:
             raise HeaderError("not a VXLAN packet")
         return self.inner.ip.version
@@ -211,6 +374,9 @@ class Packet:
         forwarding fast path do not have to serialise the packet. Always
         equals ``len(self.to_bytes())`` (property-tested).
         """
+        vector = self._vector
+        if vector is not None:
+            return vector[7]
         if self.vxlan is not None:
             body = VXLAN_LEN + self.inner.wire_length()
         else:
@@ -222,35 +388,65 @@ class Packet:
 
     def with_outer(self, ip: IPHeader, vxlan: Optional[VXLAN]) -> "Packet":
         """Copy with the outer IP and VXLAN headers swapped for *ip* and
-        *vxlan* — the shape of every delivery rewrite. *vxlan* must be a
-        header exactly when this packet has one; everything else
-        ``__post_init__`` checks is carried over from *self* unchanged.
+        *vxlan*, which must be a header exactly when this packet has one;
+        everything else ``__post_init__`` checks is carried over from
+        *self* unchanged. The copy has no wire image: callers that hold
+        addresses rather than header objects use :meth:`rewritten`.
         """
         if (vxlan is None) != (self.vxlan is None):
             raise ValueError("vxlan and inner must be set together")
         return _packet(self.eth, ip, self.l4, vxlan, self.inner, self.payload)
 
+    def _repatched(self, src: Optional[int], dst: Optional[int],
+                   vni: Optional[int]) -> "Packet":
+        """An imaged packet sharing this one's frame, with *src*/*dst*/*vni*
+        (None: keep) composed onto the pending rewrite."""
+        vector = self._vector
+        pending = self._pending
+        if pending is not None:
+            if src is None:
+                src = pending[0]
+            if dst is None:
+                dst = pending[1]
+            if vni is None:
+                vni = pending[2]
+        if vni is not None and vni != vector[0]:
+            vector = (vni,) + vector[1:]
+        return _imaged(self._frame, vector, (src, dst, vni))
+
     def with_outer_dst(self, dst: int) -> "Packet":
         """New packet with the outer destination IP rewritten (NC delivery)."""
+        if self._vector is not None:
+            return self._repatched(None, dst, None)
         return self.with_outer(self.ip.replace_dst(dst), self.vxlan)
 
     def with_outer_src(self, src: int) -> "Packet":
+        if self._vector is not None:
+            return self._repatched(src, None, None)
         return self.with_outer(self.ip.replace_src(src), self.vxlan)
 
     def with_vni(self, vni: int) -> "Packet":
         """New packet with the VXLAN VNI rewritten (peer-VPC hops)."""
+        if self._vector is not None:
+            return self._repatched(None, None, vni)
         if self.vxlan is None:
             raise HeaderError("not a VXLAN packet")
         return self.with_outer(self.ip, VXLAN(vni=vni, flags=self.vxlan.flags))
 
     def rewritten(self, outer_src: int, outer_dst: int,
                   vni: Optional[int] = None) -> "Packet":
-        """Apply a cached rewrite recipe in one copy.
+        """The delivery rewrite, in one copy.
 
         Equivalent to ``with_vni(vni).with_outer_src(outer_src)
-        .with_outer_dst(outer_dst)`` but allocates a single new Packet —
-        the flow-cache fast path applies one of these per hit.
+        .with_outer_dst(outer_dst)`` (the VNI kept when *vni* is None) but
+        allocates a single new Packet: on an imaged packet three slots
+        around the shared frame, otherwise one new header per changed one.
         """
+        vector = self._vector
+        if vector is not None:
+            if vni is None and self._pending is None:  # the per-lane case
+                return _imaged(self._frame, vector, (outer_src, outer_dst, None))
+            return self._repatched(outer_src, outer_dst, vni)
         vxlan = self.vxlan
         if vni is not None:
             if vxlan is None:
@@ -260,6 +456,11 @@ class Packet:
 
     def decap(self) -> "Packet":
         """Strip the VXLAN tunnel, returning the inner frame as a packet."""
+        frame = self._frame
+        if frame is not None:
+            eth, ip, l4, off, _dropped = _read_frame(
+                frame, _INNER_OFF, len(frame), "inner frame ")
+            return _packet(eth, ip, l4, None, None, frame[off:])
         if self.inner is None:
             raise HeaderError("not a VXLAN packet")
         return Packet(
@@ -272,6 +473,24 @@ class Packet:
     # -- serialisation --------------------------------------------------
 
     def to_bytes(self) -> bytes:
+        frame = self._frame
+        if frame is not None:
+            pending = self._pending
+            if pending is None:
+                return frame
+            src, dst, vni = pending
+            vector = self._vector
+            if src is None:
+                src = vector[8]
+            if dst is None:
+                dst = vector[9]
+            if vni is not None and not 0 <= vni < (1 << 24):
+                raise HeaderError(f"VNI {vni} out of 24-bit range")  # as VXLAN.pack
+            head = frame[:24] + _OUTER_PATCH.pack(
+                -(vector[10] + src + dst) % 0xFFFF, src, dst)
+            if vni is None:
+                return head + frame[34:]
+            return head + frame[34:46] + (vni << 8).to_bytes(4, "big") + frame[50:]
         if self.vxlan is not None:
             body = self.vxlan.pack() + self.inner.pack()
         else:
@@ -281,22 +500,18 @@ class Packet:
     @classmethod
     def from_bytes(cls, raw: bytes) -> "Packet":
         """Decode a frame held in any buffer (``bytes``, ``bytearray``,
-        ``memoryview``) in one pass; the payload is always ``bytes``."""
-        end = len(raw)
-        eth, ip, l4, off, _dropped = _read_frame(raw, 0, end, "")
-        if type(l4) is UDP and l4.dst_port == VXLAN_PORT:
-            vxlan, off = read_vxlan(raw, off, end)
-            inner_eth, inner_ip, inner_l4, off, dropped = _read_frame(
-                raw, off, end, "inner frame ")
-            if dropped:
-                ip = _shortened(ip, dropped)
-                l4 = replace(l4, length=max(l4.length - dropped, 0))
-            inner = _inner_frame(inner_eth, inner_ip, inner_l4, _payload(raw, off))
-            # This branch is what __post_init__ checks: outer UDP, vxlan
-            # and inner together (and neither in the branch below).
-            return _packet(eth, ip, l4, vxlan, inner, b"")
-        return _packet(eth, ip, l4, None, None, _payload(raw, off))
+        ``memoryview``) in one pass; the payload is always ``bytes``.
+
+        A canonical VXLAN frame (see :func:`_probe`) is kept as the packet's
+        wire image and no header object is built until one is asked for.
+        """
+        vector = _probe(raw)
+        if vector is not None:
+            return _imaged(raw if type(raw) is bytes else bytes(raw), vector, None)
+        return _packet(*_read_packet(raw))
 
 
+_HEADER_FIELDS = ("eth", "ip", "l4", "vxlan", "inner", "payload")
 _inner_frame = unchecked(InnerFrame)
 _packet = unchecked(Packet)
+_imaged = unchecked(Packet, only=("_frame", "_vector", "_pending"))

@@ -185,6 +185,8 @@ class XgwX86:
         if migration is not None and migration.frozen:
             # Freeze windows are rare and short: fall back to the
             # per-packet path so every packet consults the freeze set.
+            if isinstance(packets, PacketBatch):
+                packets = packets.packets
             return [self.forward(packet, now) for packet in packets]
         if self._batch_compiler is not None:
             return self._forward_batch_columnar(packets, now)

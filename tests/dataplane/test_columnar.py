@@ -24,13 +24,17 @@ from repro.dataplane.columnar import (
 )
 from repro.dataplane.columnar import backend as backend_mod
 from repro.core.xgw_h import XgwH
-from repro.dataplane.gateway_logic import ForwardAction, GatewayTables, vni_key
+from repro.dataplane.gateway_logic import ForwardAction, GatewayTables, forward, vni_key
+from repro.dataplane.migration import ensure_migration_state
+from repro.dataplane.services import SnatService
+from repro.dpu.device import DpuDevice
 from repro.net.addr import Prefix
 from repro.net.flow import FlowKey
 from repro.net.headers import ETHERTYPE_IPV4, Ethernet, IPv4, PROTO_UDP, UDP
 from repro.net.packet import Packet
 from repro.tables.acl import AclRule, AclTable, AclVerdict
 from repro.tables.meter import TokenBucket
+from repro.tables.snat import SnatTable
 from repro.tables.vm_nc import NcBinding
 from repro.tables.vxlan_routing import RouteAction, Scope
 from repro.workloads.traffic import build_vxlan_packet
@@ -357,3 +361,150 @@ class TestXgwHColumnarDifferential:
         results = gw.forward_batch([plain_packet()])
         assert results[0].action is ForwardAction.DROP
         assert gw.stats.packets == 1
+
+
+# -- the wire image through the forwarding paths -------------------------------
+
+X86_IP = ip("10.255.0.3")
+HEADER_SLOTS = ("eth", "ip", "l4", "vxlan", "inner", "payload")
+
+
+def wire_tables():
+    """LOCAL, PEER (a VNI rewrite), uplink, SNAT and no-route/no-vm keys."""
+    t = GatewayTables()
+    t.routing.insert(100, Prefix.parse("192.168.0.0/24"), RouteAction(Scope.LOCAL))
+    t.routing.insert(101, Prefix.parse("192.168.0.0/24"),
+                     RouteAction(Scope.PEER, next_hop_vni=100))
+    t.routing.insert(102, Prefix.parse("0.0.0.0/0"), RouteAction(Scope.INTERNET))
+    t.routing.insert(103, Prefix.parse("0.0.0.0/0"),
+                     RouteAction(Scope.SERVICE, target="snat"))
+    for h in range(1, 7):  # hosts 7/8 stay unbound: no-vm drops
+        t.vm_nc.insert(100, ip(f"192.168.0.{h}"), 4, NcBinding(ip(f"10.2.0.{h}")))
+    t.acl.insert(AclRule(priority=5, verdict=AclVerdict.DENY, dst_ports=(9000, 9100)))
+    return t
+
+
+def wire_frames(seed, n=64):
+    rng = random.Random(seed)
+    return [build_vxlan_packet(
+        vni=rng.choice([100, 101, 102, 103, 105]),
+        src_ip=ip(f"192.168.0.{rng.randrange(1, 9)}"),
+        dst_ip=ip(f"192.168.0.{rng.randrange(1, 9)}"),
+        dst_port=rng.choice([80, 9050]),
+    ).to_bytes() for _ in range(n)]
+
+
+def eagerly_decoded(frame):
+    """The frame's packet with every header object built up front."""
+    packet = Packet.from_bytes(frame)
+    assert packet.eth is not None
+    return packet
+
+
+def built_slots(packet):
+    """The header slots of *packet* that hold an object (asking the slot
+    descriptor, which unlike attribute access builds nothing)."""
+    built = []
+    for name in HEADER_SLOTS:
+        try:
+            getattr(Packet, name).__get__(packet)
+        except AttributeError:
+            continue
+        built.append(name)
+    return built
+
+
+def assert_still_wire_images(frames, packets, results):
+    """No input and no non-SNAT result packet had a header object built;
+    each result is what eagerly decoded packets produce."""
+    assert not any(built_slots(p) for p in packets)
+    snat = 0
+    for result in results:
+        if result.detail == "snat-request":
+            snat += 1  # decapped and source-translated: a new plain packet
+        else:
+            assert built_slots(result.packet) == [], result
+    assert 0 < snat < len(results)
+    assert {r.action for r in results} == {
+        ForwardAction.DELIVER_NC, ForwardAction.UPLINK, ForwardAction.DROP}
+    assert any(r.resolved_vni == 100 and r.packet.vni == 100
+               and Packet.from_bytes(f).vni == 101
+               for f, r in zip(frames, results)), "burst must exercise a VNI rewrite"
+
+
+class TestWireImageStaysLazy:
+    """Packets decoded from the wire go through the default batch path and
+    the scalar tiers, and back to bytes, without one header object being
+    built -- the property whose loss moved the parse into the forward
+    calls and cost dp_tiers a quarter of its batch rate."""
+
+    @staticmethod
+    def x86(columnar=True):
+        return XgwX86(gateway_ip=X86_IP, tables=wire_tables(),
+                      snat=SnatTable(public_ips=[ip("203.0.113.9")]),
+                      columnar=columnar)
+
+    @pytest.mark.parametrize("backend_name", BACKENDS)
+    def test_forward_batch_then_to_bytes(self, backend_name, monkeypatch):
+        monkeypatch.setenv(backend_mod.BACKEND_ENV, backend_name)
+        frames = wire_frames(seed=5)
+        packets = [Packet.from_bytes(f) for f in frames]
+        results = self.x86().forward_batch(packets, now=0.5)
+        wire = [r.packet.to_bytes() for r in results]
+        assert_still_wire_images(frames, packets, results)
+        want = self.x86().forward_batch([eagerly_decoded(f) for f in frames], now=0.5)
+        assert results == want
+        assert wire == [r.packet.to_bytes() for r in want]
+
+    def test_scalar_forward_and_dpu_device(self):
+        frames = wire_frames(seed=6)
+
+        def scalar_tier():
+            tables = wire_tables()
+            snat = SnatService(SnatTable(public_ips=[ip("203.0.113.9")]), tables, X86_IP)
+
+            def serve(packet):
+                result = forward(tables, packet, X86_IP, now=0.5)
+                if result.detail == "snat":
+                    result = snat.handle_request(packet, now=0.5)
+                return result
+            return serve
+
+        def dpu_tier():
+            dpu = DpuDevice("dpu-0", X86_IP, tables=wire_tables())
+            return lambda packet: dpu.forward(packet, now=0.5)
+
+        for tier in (scalar_tier, dpu_tier):
+            packets = [Packet.from_bytes(f) for f in frames]
+            results = [*map(tier(), packets)]
+            wire = [r.packet.to_bytes() for r in results]
+            if tier is scalar_tier:
+                assert_still_wire_images(frames, packets, results)
+            else:  # the DPU redirects SNAT lanes instead of serving them
+                assert not any(built_slots(p) for p in packets)
+                assert not any(built_slots(r.packet) for r in results)
+            want = [*map(tier(), map(eagerly_decoded, frames))]
+            assert results == want
+            assert wire == [r.packet.to_bytes() for r in want]
+
+
+class TestForwardBatchAcceptsAPacketBatch:
+    """``forward_batch`` takes a pre-shredded PacketBatch on every branch,
+    the freeze-window fallback included (it used to iterate the batch)."""
+
+    @pytest.mark.parametrize("frozen", [False, True])
+    def test_same_results_as_the_list_call(self, frozen):
+        frames = wire_frames(seed=7, n=32)
+        local = next(p for p in map(Packet.from_bytes, frames) if p.vni == 100)
+        outcomes = []
+        for shred in (list, PacketBatch.from_packets):
+            gw = XgwX86(gateway_ip=X86_IP, tables=wire_tables())
+            if frozen:
+                ensure_migration_state(gw).freeze(
+                    (100, local.inner_dst, 4), "m1", now=0.0, deadline=1.0)
+            results = gw.forward_batch(shred([Packet.from_bytes(f) for f in frames]), 0.5)
+            outcomes.append((results, [r.packet.to_bytes() for r in results],
+                             dict(gw.counters.snapshot())))
+        assert outcomes[0] == outcomes[1]
+        buffered = [r for r in outcomes[0][0] if r.action is ForwardAction.BUFFERED]
+        assert bool(buffered) == frozen

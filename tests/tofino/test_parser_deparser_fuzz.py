@@ -1,7 +1,7 @@
 """Seeded round-trip fuzz for the tofino parser/deparser pair.
 
 Mirrors ``tests/net/test_headers_fuzz.py``: deterministic via
-``repro.sim.rand.derive``, no hypothesis dependency. Three contracts:
+``repro.sim.rand.derive``, no hypothesis dependency. Four contracts:
 
 (a) every well-formed VXLAN packet the traffic builder can produce
     parses to contiguous extractions and deparses back byte-identically
@@ -10,7 +10,9 @@ Mirrors ``tests/net/test_headers_fuzz.py``: deterministic via
     reference ``Packet`` codec's ``with_*`` editors — including the
     recomputed IPv4 header checksum;
 (c) truncation and corruption never escape as anything other than a
-    clean reject/``DeparseError``.
+    clean reject/``DeparseError``;
+(d) the deparser and the codec's patch of a kept wire image (a canonical
+    frame's ``rewritten(...).to_bytes()``) emit the same bytes.
 """
 
 import pytest
@@ -27,6 +29,7 @@ from repro.tofino.deparser import (
 )
 from repro.tofino.parser import ParserOverrunError, gateway_parse_graph
 from repro.workloads.traffic import build_vxlan_packet
+from tests.net.test_wire_vectors import BY_NAME, IMAGED
 
 ROUNDS = 150
 GRAPH = gateway_parse_graph()
@@ -102,6 +105,27 @@ def test_rewrites_match_packet_codec():
         reference = (packet.with_outer_dst(dst).with_outer_src(src)
                      .with_vni(vni).to_bytes())
         assert combined == reference
+
+
+def test_deparser_agrees_with_the_codec_patching_its_kept_frame():
+    """The switch model as the oracle for the one codec stage it did not
+    cover: a packet decoded from a canonical frame never builds headers, its
+    ``rewritten(...).to_bytes()`` patches the frame it kept -- which is the
+    deparser's job, so the two must emit the same bytes."""
+    rng = derive(2021, "tofino-wire-image")
+    corpus = [random_vxlan_packet(rng).to_bytes() for _ in range(ROUNDS)]
+    corpus += [bytes.fromhex(BY_NAME[name].frame) for name in sorted(IMAGED)]
+    for raw in corpus:
+        packet = Packet.from_bytes(raw)
+        assert packet._frame is raw, "corpus frames are canonical"
+        parsed = GRAPH.parse(raw)
+        src, dst, vni = rng.getrandbits(32), rng.getrandbits(32), rng.getrandbits(24)
+        assert (deparse(raw, parsed, [rewrite_outer_src(src), rewrite_outer_dst(dst),
+                                      rewrite_vni(vni)])
+                == packet.rewritten(src, dst, vni).to_bytes())
+        assert (deparse(raw, parsed, [rewrite_outer_src(src), rewrite_outer_dst(dst)])
+                == packet.rewritten(src, dst).to_bytes())
+        assert packet.to_bytes() is raw
 
 
 def test_truncations_reject_cleanly():
