@@ -206,6 +206,8 @@ class XgwH:
             self.clock = now
         compiler = self._batch_compiler
         if compiler is None or (self.migration is not None and self.migration.frozen):
+            if isinstance(packets, PacketBatch):
+                packets = packets.packets
             fwd = self.forward
             return [fwd(packet) for packet in packets]
         program = self._compiled

@@ -2,9 +2,9 @@
 
 The gateway's interesting keys are *composite*: a 24-bit VNI concatenated
 with a 32- or 128-bit address (and, pooled, an address-family bit). This
-trie works over any fixed key width; :mod:`repro.tables.lpm` wraps it
-with IP :class:`~repro.net.addr.Prefix` types, and
-:mod:`repro.tables.alpm` partitions it.
+trie works over any fixed key width; :mod:`repro.tables.alpm` partitions
+it, and it is the oracle the per-length levels of
+:mod:`repro.tables.lpm` are tested against.
 
 Keys are ``(network, length)`` pairs where *network* is left-aligned in
 the *width*-bit key space with host bits zero.

@@ -19,6 +19,7 @@ from enum import Enum
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..net.addr import Prefix
+from ..net.headers import unchecked
 from .errors import MissingEntryError, TableError
 from .geometry import IPV6_BITS, VNI_BITS
 from .lpm import LpmTrie
@@ -50,7 +51,7 @@ class RouteAction:
             raise ValueError("next_hop_vni only valid for PEER routes")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Resolution:
     """Result of following PEER chains to a terminal route."""
 
@@ -60,8 +61,17 @@ class Resolution:
     hops: int  # number of PEER indirections followed
 
 
+_resolution = unchecked(Resolution)
+_PEER = Scope.PEER
+
+
 class RoutingLoopError(TableError):
     """Raised when PEER next-hops cycle or exceed the hop budget."""
+
+
+def _check_vni(vni: int) -> None:
+    if not 0 <= vni < (1 << VNI_BITS):
+        raise ValueError(f"VNI {vni} out of 24-bit range")
 
 
 class VxlanRoutingTable:
@@ -84,8 +94,7 @@ class VxlanRoutingTable:
         self.generation = 0
 
     def _trie(self, vni: int, version: int, create: bool) -> Optional[LpmTrie[RouteAction]]:
-        if not 0 <= vni < (1 << VNI_BITS):
-            raise ValueError(f"VNI {vni} out of 24-bit range")
+        _check_vni(vni)
         key = (vni, version)
         trie = self._tries.get(key)
         if trie is None and create:
@@ -110,7 +119,7 @@ class VxlanRoutingTable:
 
     def get(self, vni: int, prefix: Prefix) -> Optional[RouteAction]:
         """The action installed at exactly ``(vni, prefix)`` — the
-        exact-match twin of :meth:`VmNcTable.lookup`, O(prefix length).
+        exact-match twin of :meth:`VmNcTable.lookup`, one dict probe.
         None for an absent VNI, family or prefix.
 
         >>> table = VxlanRoutingTable()
@@ -131,8 +140,9 @@ class VxlanRoutingTable:
     def lookup(self, vni: int, address: int, version: int) -> Optional[Tuple[Prefix, RouteAction]]:
         """One longest-prefix match step (no PEER chasing)."""
         self.lookups += 1
-        trie = self._trie(vni, version, create=False)
+        trie = self._tries.get((vni, version))
         if trie is None:
+            _check_vni(vni)
             return None
         hit = trie.lookup(address)
         if hit is not None:
@@ -143,23 +153,35 @@ class VxlanRoutingTable:
         """Follow PEER next-hop VNIs until a terminal scope (Fig. 2).
 
         Raises :class:`RoutingLoopError` on cycles or missing routes along
-        the chain raise :class:`MissingEntryError`.
+        the chain raise :class:`MissingEntryError`. Each hop counts as one
+        :meth:`lookup`; a walk that follows no PEER hop builds no set.
         """
-        seen = set()
+        tries = self._tries
+        seen = None  # VNIs already walked, built at the first PEER hop
         current = vni
         hops = 0
         while True:
-            if current in seen or hops > max_hops:
+            if hops > max_hops or (seen is not None and current in seen):
                 raise RoutingLoopError(
                     f"PEER chain loop/overflow from vni={vni} at vni={current}"
                 )
-            seen.add(current)
-            hit = self.lookup(current, address, version)
+            self.lookups += 1
+            trie = tries.get((current, version))
+            if trie is None:
+                _check_vni(current)
+                hit = None
+            else:
+                hit = trie.lookup(address)
             if hit is None:
                 raise MissingEntryError(f"no route for vni={current} addr={address:#x}")
+            self.hits += 1
             prefix, action = hit
-            if action.scope is not Scope.PEER:
-                return Resolution(vni=current, prefix=prefix, action=action, hops=hops)
+            if action.scope is not _PEER:
+                return _resolution(current, prefix, action, hops)
+            if seen is None:
+                seen = {current}
+            else:
+                seen.add(current)
             current = action.next_hop_vni
             hops += 1
 

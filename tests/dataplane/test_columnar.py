@@ -508,3 +508,27 @@ class TestForwardBatchAcceptsAPacketBatch:
         assert outcomes[0] == outcomes[1]
         buffered = [r for r in outcomes[0][0] if r.action is ForwardAction.BUFFERED]
         assert bool(buffered) == frozen
+
+    @pytest.mark.parametrize("folded, frozen", [(True, True), (False, False)],
+                             ids=["frozen", "unfolded"])
+    def test_xgw_h_per_packet_fallback(self, folded, frozen):
+        frames = wire_frames(seed=7, n=32)
+        local = next(p for p in map(Packet.from_bytes, frames) if p.vni == 100)
+        if not folded:  # no loopback pipe holds VM-NC: keep the keys that never reach it
+            frames = [f for f in frames if Packet.from_bytes(f).vni not in (100, 101)]
+        outcomes = []
+        for shred in (list, PacketBatch.from_packets):
+            gw = XgwH(gateway_ip=GW_H_IP, tables=wire_tables(), folded=folded)
+            for h in range(1, 7):
+                gw.install_vm(100, ip(f"192.168.0.{h}"), 4, NcBinding(ip(f"10.2.0.{h}")))
+            if frozen:
+                ensure_migration_state(gw).freeze(
+                    (100, local.inner_dst, 4), "m1", now=0.0, deadline=1.0)
+            results = gw.forward_batch(shred([Packet.from_bytes(f) for f in frames]), 0.5)
+            outcomes.append((results, [r.packet.to_bytes() for r in results],
+                             gw.stats, dict(gw.counters.snapshot())))
+        assert outcomes[0] == outcomes[1]
+        stats = outcomes[0][2]
+        assert stats.packets == len(frames)
+        assert stats.delivered > 0 and stats.redirected > 0 and stats.dropped > 0
+        assert (stats.buffered > 0) == frozen

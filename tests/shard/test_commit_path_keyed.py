@@ -15,6 +15,7 @@ from repro.core.journal import Journal
 from repro.net.addr import Prefix
 from repro.tables.bittrie import GenericLpmTrie
 from repro.tables.errors import TableError
+from repro.tables.lpm import LpmTrie
 from repro.tables.vm_nc import NcBinding, VmNcTable
 from repro.tables.vxlan_routing import RouteAction, Scope, VxlanRoutingTable
 
@@ -26,7 +27,7 @@ def no_enumeration(monkeypatch):
     def arm():
         def boom(self):
             raise AssertionError(f"{type(self).__name__}.items() on the commit path")
-        for cls in (VxlanRoutingTable, VmNcTable, GenericLpmTrie):
+        for cls in (VxlanRoutingTable, VmNcTable, GenericLpmTrie, LpmTrie):
             monkeypatch.setattr(cls, "items", boom)
         return monkeypatch.undo
     return arm

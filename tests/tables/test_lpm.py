@@ -119,3 +119,86 @@ class TestLpmProperties:
             expected = max(candidates)[1] if candidates else None
             got = trie.lookup(key)
             assert (got[1] if got else None) == expected
+
+
+# -- differential: the per-length levels against the bit trie and a scan ----
+
+def _nested_prefixes(version):
+    """Nested more-specifics down two anchors, the default route and host
+    routes, so a random op sequence keeps hitting shared paths."""
+    bits = 32 if version == 4 else 128
+    anchors = [ip("10.1.2.3"), ip("10.1.130.7")] if version == 4 else \
+        [ip("fd00:1::5"), ip("fd00:1:8000::9")]
+    lengths = (0, 1, 8, 9, 16, 17, 24, bits - 1, bits)
+    return sorted({Prefix.of(a, n, version) for a in anchors for n in lengths})
+
+
+def _probe_keys(prefixes):
+    keys = {0}
+    for p in prefixes:
+        last = p.network | ((1 << (p.bits - p.prefix_len)) - 1)
+        keys.update((p.network, last, last + 1 if last + 1 < 1 << p.bits else 0))
+    return sorted(keys)
+
+
+def _as_triple(entry):
+    prefix, value = entry
+    return prefix.network, prefix.prefix_len, value
+
+
+def _outcome(call):
+    try:
+        return "ok", call()
+    except Exception as exc:  # noqa: BLE001 - the error itself is compared
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("version", [4, 6])
+class TestLevelsMatchTheTrie:
+    """Every observable of :class:`LpmTrie` equals a
+    :class:`GenericLpmTrie` fed the same operations, and every lookup the
+    linear-scan :func:`repro.tables.alpm.oracle_lookup`."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_random_operation_sequences(self, version, data):
+        from repro.tables.alpm import oracle_lookup
+        from repro.tables.bittrie import GenericLpmTrie
+
+        pool = _nested_prefixes(version)
+        keys = _probe_keys(pool)
+        levels, trie = LpmTrie(version), GenericLpmTrie(32 if version == 4 else 128)
+        ops = data.draw(st.lists(st.tuples(
+            st.sampled_from(("insert", "replace", "remove")),
+            st.sampled_from(pool), st.integers(0, 3)), max_size=40))
+        for step, (kind, prefix, value) in enumerate(ops):
+            net, n = prefix.network, prefix.prefix_len
+            if kind == "remove":
+                got = _outcome(lambda: levels.remove(prefix))
+                want = _outcome(lambda: trie.remove(net, n))
+            else:
+                replace = kind == "replace"
+                got = _outcome(lambda: levels.insert(prefix, (step, value), replace))
+                want = _outcome(lambda: trie.insert(net, n, (step, value), replace))
+            assert got == want
+            routes = list(trie.items())
+            assert [_as_triple(e) for e in levels.items()] == routes  # order too
+            assert len(levels) == len(trie)
+            # One probe per stored length: an emptied level is dropped.
+            assert len(levels._probes) == len({n for _net, n, _value in routes})
+            for key in keys:
+                hit = levels.lookup(key)
+                hit = None if hit is None else _as_triple(hit)
+                assert hit == trie.lookup(key) == oracle_lookup(routes, key, levels.bits)
+            for p in pool:
+                assert (p in levels) == trie.contains(p.network, p.prefix_len)
+                assert _outcome(lambda: levels.get(p)) == \
+                    _outcome(lambda: trie.get(p.network, p.prefix_len))
+                assert [_as_triple(e) for e in levels.covering_entries(p)] == \
+                    trie.covering_entries(p.network, p.prefix_len)
+
+    def test_lookup_returns_the_stored_prefix_object(self, version):
+        trie = LpmTrie(version)
+        prefix = _nested_prefixes(version)[3]
+        trie.insert(prefix, "v")
+        assert trie.lookup(prefix.network)[0] is prefix

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from repro.net.addr import Prefix
 from repro.tables.errors import MissingEntryError
 from repro.tables.vxlan_routing import (
+    Resolution,
     RouteAction,
     RoutingLoopError,
     Scope,
@@ -231,3 +232,99 @@ class TestKeyedGet:
             for vni_q in (1, 2, 3, 4):
                 for prefix_q in self.PREFIXES:
                     assert table.get(vni_q, prefix_q) == model.get((vni_q, prefix_q))
+
+
+# -- resolve against a copy of the original loop over a linear scan ----------
+
+def reference_resolve(routes, counts, vni, address, version, max_hops=8):
+    """The PEER walk as first written (a ``seen`` set from the first hop,
+    the range check on every hop), over a linear-scan LPM."""
+    from repro.tables.alpm import oracle_lookup
+
+    seen = set()
+    current = vni
+    hops = 0
+    while True:
+        if current in seen or hops > max_hops:
+            raise RoutingLoopError(
+                f"PEER chain loop/overflow from vni={vni} at vni={current}"
+            )
+        seen.add(current)
+        counts["lookups"] += 1
+        if not 0 <= current < (1 << 24):
+            raise ValueError(f"VNI {current} out of 24-bit range")
+        flat = [(p.network, p.prefix_len, (p, a))
+                for (v, p), a in routes.items() if v == current and p.version == version]
+        hit = oracle_lookup(flat, address, 32 if version == 4 else 128)
+        if hit is None:
+            raise MissingEntryError(f"no route for vni={current} addr={address:#x}")
+        counts["hits"] += 1
+        prefix, action = hit[2]
+        if action.scope is not Scope.PEER:
+            return Resolution(vni=current, prefix=prefix, action=action, hops=hops)
+        current = action.next_hop_vni
+        hops += 1
+
+
+def _outcome(call):
+    try:
+        return call()
+    except Exception as exc:  # noqa: BLE001 - the error itself is compared
+        return type(exc), str(exc)
+
+
+def _same(result):
+    return (type(result), str(result)) if isinstance(result, Exception) else result
+
+
+class TestResolveMatchesTheOriginalLoop:
+    """``resolve``/``resolve_many`` over random PEER graphs — cycles,
+    chains longer than ``max_hops``, missing hops, next hops outside the
+    24-bit range — agree with the reference loop on the result, the
+    exception type and message, and the ``lookups``/``hits`` counters."""
+
+    PREFIXES = tuple(Prefix.parse(text) for text in (
+        "0.0.0.0/0", "10.0.0.0/8", "10.1.0.0/16", "10.1.2.0/24", "10.1.2.3/32",
+        "::/0", "fd00::/8", "fd00:1::/32", "fd00:1::5/128"))
+    ADDRESSES = tuple((ip(text), version) for text, version in (
+        ("10.1.2.3", 4), ("10.1.2.4", 4), ("10.1.9.9", 4), ("10.9.9.9", 4),
+        ("11.0.0.1", 4), ("fd00:1::5", 6), ("fd00:2::1", 6), ("fe80::1", 6)))
+    NEXT_HOPS = (1, 2, 3, 4, 5, 7, 1 << 24)
+    ACTIONS = st.one_of(
+        st.sampled_from((RouteAction(Scope.LOCAL), RouteAction(Scope.INTERNET, target="igw"),
+                         RouteAction(Scope.SERVICE, target="snat"))),
+        st.sampled_from(NEXT_HOPS).map(lambda n: RouteAction(Scope.PEER, next_hop_vni=n)))
+    QUERIES = st.tuples(st.sampled_from((-1, 0, 1, 2, 3, 4, 5, 7, 1 << 24)),
+                        st.sampled_from(ADDRESSES))
+
+    @settings(max_examples=150, deadline=None)
+    @given(routes=st.dictionaries(st.tuples(st.integers(1, 5), st.sampled_from(PREFIXES)),
+                                  ACTIONS, max_size=25),
+           queries=st.lists(QUERIES, min_size=1, max_size=12),
+           max_hops=st.sampled_from((-1, 0, 1, 2, 3, 8)))
+    def test_random_peer_graphs(self, routes, queries, max_hops):
+        table = VxlanRoutingTable()
+        for (vni, prefix), action in routes.items():
+            table.insert(vni, prefix, action)
+        counts = {"lookups": 0, "hits": 0}
+        flat = [(vni, address, version) for vni, (address, version) in queries]
+        for vni, address, version in flat:
+            got = _outcome(lambda: table.resolve(vni, address, version, max_hops))
+            want = _outcome(lambda: reference_resolve(routes, counts, vni, address,
+                                                      version, max_hops))
+            assert got == want
+            assert (table.lookups, table.hits) == (counts["lookups"], counts["hits"])
+        in_range = [q for q in flat if 0 <= q[0] < 1 << 24]
+
+        def reference_many():
+            out = []
+            for query in in_range:
+                try:
+                    out.append(reference_resolve(routes, counts, *query, max_hops))
+                except (MissingEntryError, RoutingLoopError) as exc:
+                    out.append(exc)
+            return out
+        # A next hop outside the 24-bit range raises out of the whole batch.
+        got = _outcome(lambda: [_same(r) for r in table.resolve_many(in_range, max_hops)])
+        assert got == _outcome(lambda: [_same(r) for r in reference_many()])
+        assert (table.lookups, table.hits) == (counts["lookups"], counts["hits"])
