@@ -77,7 +77,7 @@ def main() -> None:
     result, trace = region.trace(packet)
     print("  trace of the failing packet:")
     print(trace.describe())
-    repaired = region.controller.repair(cluster_id)
+    repaired, _failed = region.controller.targeted_repair(cluster_id)
     print(f"  controller repair: {repaired} divergence(s) fixed")
     result, _ = region.trace(packet)
     print(f"  after repair: {result.action.value}")

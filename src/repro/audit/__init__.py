@@ -1,12 +1,12 @@
 """Cross-layer invariant auditor (§6.1, taken past consistency checks).
 
-The controller's ``consistency_check`` compares its own intent store
-against gateway tables — which is blind to everything the intent store
-cannot see: bindings that should have been deleted but survived
-(``extra-vm``), lookup structures that diverge from their own rule list,
-shadowed ACL rules, broken peer chains, cross-tenant leaks, counter
-identities, and poisoned flow-cache entries whose generation vector is
-still current. ``repro.audit`` closes those blind spots:
+The controller's ``consistency_check`` diffs its own intent store
+against gateway tables, both ways — which is blind to everything that
+diff cannot see: an intent store that drifted from the journal, lookup
+structures that diverge from their own rule list, shadowed ACL rules,
+broken peer chains, cross-tenant leaks, counter identities, and
+poisoned flow-cache entries whose generation vector is still current.
+``repro.audit`` closes those blind spots:
 
 * :class:`~repro.audit.intent.IntentSnapshot` captures the desired state
   twice — from the live controller and independently from

@@ -2,12 +2,13 @@
 
 Each invariant inspects one member against the intent snapshot (or
 against its own internal structure) and returns :class:`Finding`\\ s.
-They are deliberately independent of the controller's
-``consistency_check``: route/VM equivalence re-derive the comparison
-from the journal-format intent, the lookup invariants cross-check data
-structures against brute-force oracles, and the remaining ones check
-properties no intent diff can see (shadowed rules, broken chains,
-tenant leaks, counter identities, poisoned cache entries).
+Route/VM equivalence run the controller's two-way keyed diff
+(:func:`~repro.core.controller.divergence`) but against an independent
+intent source — the journal-format snapshot, not the controller's
+in-memory maps; the lookup invariants cross-check data structures
+against brute-force oracles, and the remaining ones check properties
+no intent diff can see (shadowed rules, broken chains, tenant leaks,
+counter identities, poisoned cache entries).
 
 Every invariant is read-only on control state: table generations are
 never bumped, so a sweep can run concurrently with the flow cache and
@@ -18,8 +19,9 @@ no cached entry is invalidated by the audit itself. (Telemetry counters
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import FrozenSet, List, Tuple
 
+from ..core.controller import describe_key, divergence
 from ..dataplane.gateway_logic import ForwardAction
 from ..net.addr import Prefix
 from ..tables.alpm import AlpmTable, oracle_lookup
@@ -52,66 +54,31 @@ class Invariant:
         raise NotImplementedError
 
 
-def _vm_items(gw) -> Dict[Tuple[int, int, int], object]:
-    """A member's installed VM bindings, fully enumerated. XGW-H keeps
-    them in the pipeline-split table, XGW-x86 in the flat DRAM table;
-    both expose control-plane readback via ``items()``."""
-    table = getattr(gw, "split_vm_nc", None)
-    if table is None:
-        table = gw.tables.vm_nc
-    return {(vni, address, version): binding
-            for vni, address, version, binding in table.items()}
-
-
 class RouteEquivalence(Invariant):
     """Intent routes vs the member's installed routing table, both ways:
-    ``missing-route`` / ``corrupt-route`` / ``extra-route``."""
+    ``missing-route`` / ``corrupt-route`` / ``extra-route``. The diff is
+    the controller's own :func:`~repro.core.controller.divergence`; what
+    stays independent is the intent — the journal-format snapshot, not
+    the controller's in-memory maps."""
 
     name = "route-equivalence"
+    is_route = True
 
     def check(self, ctx: AuditContext, member) -> List[Finding]:
-        desired = ctx.intent.routes_for(ctx.cluster_id)
-        installed = {(vni, prefix): action
-                     for vni, prefix, action in member.gateway.tables.routing.items()}
-        findings: List[Finding] = []
-        for key, action in desired.items():
-            have = installed.get(key)
-            if have != action:
-                kind = "missing-route" if have is None else "corrupt-route"
-                findings.append(Finding(self.name, kind, ctx.cluster_id,
-                                        member.name, f"{key}", key=key))
-        for key in installed:
-            if key not in desired:
-                findings.append(Finding(self.name, "extra-route", ctx.cluster_id,
-                                        member.name, f"{key}", key=key))
-        return findings
+        intent = ctx.intent.routes_for if self.is_route else ctx.intent.vms_for
+        return [Finding(self.name, kind, ctx.cluster_id, member.name,
+                        describe_key(key), key=key)
+                for kind, key in divergence(member.gateway, self.is_route,
+                                            intent(ctx.cluster_id))]
 
 
-class VmEquivalence(Invariant):
-    """Intent VM bindings vs the member's installed bindings — **both
-    ways**, unlike ``consistency_check``'s one-way comparison. The
-    reverse direction is what catches a dropped ``remove_vm`` (the PR-2
-    blind spot): the binding survives on the gateway as ``extra-vm``."""
+class VmEquivalence(RouteEquivalence):
+    """Intent VM bindings vs the member's installed bindings, both ways:
+    ``missing-vm`` / ``corrupt-vm`` / ``extra-vm`` (a dropped
+    ``remove_vm`` leaves the binding behind as ``extra-vm``)."""
 
     name = "vm-equivalence"
-
-    def check(self, ctx: AuditContext, member) -> List[Finding]:
-        desired = ctx.intent.vms_for(ctx.cluster_id)
-        installed = _vm_items(member.gateway)
-        findings: List[Finding] = []
-        for key, binding in desired.items():
-            have = installed.get(key)
-            if have != binding:
-                kind = "missing-vm" if have is None else "corrupt-vm"
-                findings.append(Finding(
-                    self.name, kind, ctx.cluster_id, member.name,
-                    f"({key[0]}, {key[1]:#x})", key=key))
-        for key in installed:
-            if key not in desired:
-                findings.append(Finding(
-                    self.name, "extra-vm", ctx.cluster_id, member.name,
-                    f"({key[0]}, {key[1]:#x})", key=key))
-        return findings
+    is_route = False
 
 
 class LpmOracleEquivalence(Invariant):

@@ -4,10 +4,9 @@ Findings with a structured table key and a repairable kind are converted
 to :class:`~repro.core.controller.Inconsistency` objects and pushed
 through the same machinery the §6.1 reconcile loop uses — quarantine the
 cluster, :meth:`~repro.core.controller.Controller.targeted_repair` the
-divergent keys, probe before readmitting. That includes ``extra-vm``,
-which the controller's own ``consistency_check`` can never produce (its
-VM comparison is one-way); the audit is the only producer, and
-``_repair_one`` withdraws the surviving binding.
+divergent keys, probe before readmitting. Every repairable kind is the
+same keyed push: the member's entry is made equal to desired state, so
+``missing-*``/``corrupt-*`` re-push it and ``extra-*`` withdraw it.
 
 Poisoned flow-cache entries are not table state, so they take a
 different repair: the member's cache is flushed and the next packets

@@ -22,8 +22,8 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional,
-                    Sequence, Set, Tuple, Union)
+from typing import (Callable, Dict, Iterable, Iterator, List, Mapping, NamedTuple,
+                    Optional, Sequence, Set, Tuple, Union)
 
 from ..cluster.cluster import GatewayCluster, NodeState
 from ..cluster.ecmp import VniSteeredBalancer
@@ -80,7 +80,7 @@ class Inconsistency:
 
     cluster_id: str
     node: str
-    kind: str  # "missing-route" | "corrupt-route" | "extra-route" | "missing-vm" | "corrupt-vm"
+    kind: str  # "missing-" | "corrupt-" | "extra-" + "route" | "vm"
     detail: str
     key: Optional[tuple] = None
 
@@ -180,6 +180,86 @@ class Transaction:
 
     def remove_vm(self, vni: int, vm_ip: int, version: int) -> None:
         self.ops.append(StagedOp.remove_vm(self.cluster_id, vni, vm_ip, version))
+
+
+# -- one diff, one push ------------------------------------------------------
+# Every path that compares a member with intent (consistency check, member
+# convergence, the audit's equivalence invariants) reads the member through
+# ``divergence``; every path that writes one key (single ops, transaction
+# prepare and undo, targeted repair, convergence) goes through ``push``.
+
+
+def vm_table(gw):
+    """A member's VM-NC table. XGW-H keeps bindings in the pipeline-split
+    table; XGW-x86 members (hybrid clusters) and DPU devices keep them in
+    the flat DRAM table. Both answer ``lookup`` and ``items()``."""
+    table = getattr(gw, "split_vm_nc", None)
+    return gw.tables.vm_nc if table is None else table
+
+
+def divergence(gw, is_route: bool, desired: Mapping) -> List[Tuple[str, tuple]]:
+    """``(kind, key)`` for every way one member's route (or VM) table
+    differs from *desired*, both ways: ``missing-*``/``corrupt-*`` in
+    desired-key order, then ``extra-*`` in readback order."""
+    if is_route:
+        noun = "route"
+        installed = {(vni, prefix): action
+                     for vni, prefix, action in gw.tables.routing.items()}
+    else:
+        noun = "vm"
+        installed = {(vni, vm_ip, version): binding
+                     for vni, vm_ip, version, binding in vm_table(gw).items()}
+    out: List[Tuple[str, tuple]] = []
+    for key, value in desired.items():
+        have = installed.get(key)
+        if have != value:
+            out.append((("missing-" if have is None else "corrupt-") + noun, key))
+    out.extend((f"extra-{noun}", key) for key in installed if key not in desired)
+    return out
+
+
+def describe_key(key: tuple) -> str:
+    """The findings rendering of a table key: ``(vni, Prefix)`` as is,
+    ``(vni, vm_ip, version)`` as ``(vni, 0xip)``."""
+    return f"{key}" if len(key) == 2 else f"({key[0]}, {key[1]:#x})"
+
+
+def push(gw, is_route: bool, key: tuple, value) -> None:
+    """Make ``member[key] = value``; a None *value* withdraws the key."""
+    if is_route:
+        vni, prefix = key
+        if value is None:
+            gw.remove_route(vni, prefix)
+        else:
+            gw.install_route(vni, prefix, value, replace=True)
+    else:
+        vni, vm_ip, version = key
+        if value is None:
+            gw.remove_vm(vni, vm_ip, version)
+        else:
+            gw.install_vm(vni, vm_ip, version, value, replace=True)
+
+
+def converge(gw, routes: Mapping, vms: Mapping) -> int:
+    """Diff one member against intent and push every divergent key —
+    extra routes *and* extra VM bindings are withdrawn. Returns the
+    writes it took."""
+    writes = 0
+    for is_route, desired in ((True, routes), (False, vms)):
+        for _kind, key in divergence(gw, is_route, desired):
+            push(gw, is_route, key, desired.get(key))
+            writes += 1
+    return writes
+
+
+def decode_cluster_intent(state: dict, cluster_id: str) -> Tuple[dict, dict]:
+    """One cluster's desired ``(routes, vms)`` decoded from journal-format
+    intent (``Journal.materialize()`` or ``Controller.intent_snapshot()``)."""
+    routes = {parse_route_key(key): decode_action(payload)
+              for key, payload in state["routes"].get(cluster_id, {}).items()}
+    vms = {parse_vm_key(key): decode_binding(payload)
+           for key, payload in state["vms"].get(cluster_id, {}).items()}
+    return routes, vms
 
 
 class Controller:
@@ -316,58 +396,21 @@ class Controller:
             self.plan.assignments[vni] = cluster_id
             self.plan.usage.setdefault(cluster_id, ClusterUsage()).add(profile)
             self.balancer.assign_vni(vni, cluster_id)
-        for cluster_id, routes in state["routes"].items():
+        for cluster_id in dict.fromkeys([*state["routes"], *state["vms"]]):
             self._ensure_cluster(cluster_id)
-            self._routes[cluster_id] = {
-                parse_route_key(key): decode_action(payload)
-                for key, payload in routes.items()
-            }
-            index = self._route_index.setdefault(cluster_id, {})
-            for (vni, prefix) in self._routes[cluster_id]:
-                index.setdefault(vni, set()).add(prefix)
-        for cluster_id, vms in state["vms"].items():
-            self._ensure_cluster(cluster_id)
-            self._vms[cluster_id] = {
-                parse_vm_key(key): decode_binding(payload)
-                for key, payload in vms.items()
-            }
-            index = self._vm_index.setdefault(cluster_id, {})
-            for (vni, vm_ip, version) in self._vms[cluster_id]:
-                index.setdefault(vni, set()).add((vm_ip, version))
+            routes, vms = decode_cluster_intent(state, cluster_id)
+            self._routes[cluster_id], self._vms[cluster_id] = routes, vms
+            for (vni, prefix) in routes:
+                self._route_index[cluster_id].setdefault(vni, set()).add(prefix)
+            for (vni, vm_ip, version) in vms:
+                self._vm_index[cluster_id].setdefault(vni, set()).add((vm_ip, version))
         self.version = state["version"]
         writes = 0
         for cluster_id in sorted(self.clusters):
-            cluster = self.clusters[cluster_id]
-            for member in cluster.all_members():
-                writes += self._sync_gateway(
-                    member.gateway,
-                    self._routes.get(cluster_id, {}),
-                    self._vms.get(cluster_id, {}),
-                )
+            routes, vms = self._routes.get(cluster_id, {}), self._vms.get(cluster_id, {})
+            for member in self.clusters[cluster_id].all_members():
+                writes += converge(member.gateway, routes, vms)
         self.counters.add("recoveries")
-        return writes
-
-    def _sync_gateway(self, gw, routes: Dict[Tuple[int, Prefix], RouteAction],
-                      vms: Dict[Tuple[int, int, int], NcBinding]) -> int:
-        """Converge one gateway onto the given intent: push divergent or
-        missing entries, withdraw extra routes. (Extra VM bindings are
-        not enumerable from the digest-compressed table, matching
-        ``consistency_check``'s one-way VM comparison.)"""
-        writes = 0
-        installed = {(vni, prefix): action
-                     for vni, prefix, action in gw.tables.routing.items()}
-        for (vni, prefix), action in routes.items():
-            if installed.get((vni, prefix)) != action:
-                gw.install_route(vni, prefix, action, replace=True)
-                writes += 1
-        for (vni, prefix) in installed:
-            if (vni, prefix) not in routes:
-                gw.remove_route(vni, prefix)
-                writes += 1
-        for (vni, vm_ip, version), binding in vms.items():
-            if self._vm_lookup(gw, vni, vm_ip, version) != binding:
-                gw.install_vm(vni, vm_ip, version, binding, replace=True)
-                writes += 1
         return writes
 
     def resync_member(self, cluster_id: str, name: str) -> int:
@@ -376,15 +419,10 @@ class Controller:
         drain/upgrade path before a member is probed and readmitted."""
         member = self.clusters[cluster_id].find_member(name)
         if self.journal is not None:
-            state = self.journal.materialize()
-            routes = {parse_route_key(key): decode_action(payload)
-                      for key, payload in state["routes"].get(cluster_id, {}).items()}
-            vms = {parse_vm_key(key): decode_binding(payload)
-                   for key, payload in state["vms"].get(cluster_id, {}).items()}
+            routes, vms = decode_cluster_intent(self.journal.materialize(), cluster_id)
         else:
-            routes = dict(self._routes.get(cluster_id, {}))
-            vms = dict(self._vms.get(cluster_id, {}))
-        writes = self._sync_gateway(member.gateway, routes, vms)
+            routes, vms = self._routes.get(cluster_id, {}), self._vms.get(cluster_id, {})
+        writes = converge(member.gateway, routes, vms)
         self.counters.add("member_resyncs")
         return writes
 
@@ -395,11 +433,16 @@ class Controller:
         when placement allocates a new cluster."""
         self._cluster_factory = factory
 
-    def _ensure_cluster(self, cluster_id: str) -> GatewayCluster[XgwH]:
+    def _ensure_cluster(self, cluster_id: str,
+                        cluster: Optional[GatewayCluster] = None) -> GatewayCluster[XgwH]:
+        """Register *cluster_id* on first use — the given *cluster*, else
+        one from the factory — with a steering group and empty desired
+        state."""
         if cluster_id not in self.clusters:
-            if self._cluster_factory is None:
-                raise TableError(f"no cluster {cluster_id} and no factory configured")
-            cluster = self._cluster_factory(cluster_id)
+            if cluster is None:
+                if self._cluster_factory is None:
+                    raise TableError(f"no cluster {cluster_id} and no factory configured")
+                cluster = self._cluster_factory(cluster_id)
             self.clusters[cluster_id] = cluster
             self.balancer.register_cluster(
                 cluster_id, [m.name for m in cluster.active_members()]
@@ -423,15 +466,7 @@ class Controller:
         """
         if cluster_id in self.clusters:
             raise TableError(f"cluster {cluster_id} already registered")
-        self.clusters[cluster_id] = cluster
-        self.balancer.register_cluster(
-            cluster_id, [m.name for m in cluster.active_members()]
-        )
-        self._routes.setdefault(cluster_id, {})
-        self._vms.setdefault(cluster_id, {})
-        self._route_index.setdefault(cluster_id, {})
-        self._vm_index.setdefault(cluster_id, {})
-        return cluster
+        return self._ensure_cluster(cluster_id, cluster)
 
     def desired_routes(self, cluster_id: str) -> Dict[Tuple[int, Prefix], RouteAction]:
         """A copy of one cluster's desired routing state (committed
@@ -465,65 +500,44 @@ class Controller:
         self.version += 1
         return cluster_id
 
-    def install_route(self, cluster_id: str, route: RouteEntry, time: float = 0.0) -> None:
-        cluster = self._ensure_cluster(cluster_id)
-        self._journal_append("install-route", {
-            "cluster": cluster_id, "vni": route.vni,
-            "prefix": str(route.prefix), "action": encode_action(route.action),
-        })
-        self._crash_point("install-route", cluster_id)
-        self._routes[cluster_id][(route.vni, route.prefix)] = route.action
-        self._route_index[cluster_id].setdefault(route.vni, set()).add(route.prefix)
-        cluster.for_each_gateway(
-            lambda gw: gw.install_route(route.vni, route.prefix, route.action, replace=True)
-        )
+    def _apply_single(self, cluster_id: str, op: StagedOp, time: float) -> None:
+        """One mutation outside a transaction: journal it under its op
+        name (the payload minus ``"op"``), cross the crash point, fold it
+        into desired state, then push it to every member."""
+        payload = dict(op.payload)
+        name = payload.pop("op")
+        self._journal_append(name, payload)
+        self._crash_point(name, cluster_id)
+        self._apply_committed_op(cluster_id, op)
+        is_route, key, value = op.is_route, op.key, op.value
+        for member in self.clusters[cluster_id].all_members():
+            push(member.gateway, is_route, key, value)
         self._record_size(cluster_id, time)
 
+    def install_route(self, cluster_id: str, route: RouteEntry, time: float = 0.0) -> None:
+        self._ensure_cluster(cluster_id)
+        self._apply_single(cluster_id, StagedOp.install_route(cluster_id, route), time)
+
     def install_vm(self, cluster_id: str, vm: VmEntry, time: float = 0.0) -> None:
-        cluster = self._ensure_cluster(cluster_id)
-        self._journal_append("install-vm", {
-            "cluster": cluster_id, "vni": vm.vni, "vm_ip": vm.vm_ip,
-            "vm_version": vm.version, "binding": encode_binding(vm.binding),
-        })
-        self._crash_point("install-vm", cluster_id)
-        self._vms[cluster_id][(vm.vni, vm.vm_ip, vm.version)] = vm.binding
-        self._vm_index[cluster_id].setdefault(vm.vni, set()).add((vm.vm_ip, vm.version))
-        cluster.for_each_gateway(
-            lambda gw: gw.install_vm(vm.vni, vm.vm_ip, vm.version, vm.binding, replace=True)
-        )
-        self._record_size(cluster_id, time)
+        self._ensure_cluster(cluster_id)
+        self._apply_single(cluster_id, StagedOp.install_vm(cluster_id, vm), time)
 
     def remove_route(self, cluster_id: str, vni: int, prefix: Prefix,
                      time: float = 0.0) -> None:
         """Withdraw one route from desired state and every gateway."""
-        cluster = self.clusters[cluster_id]
+        self.clusters[cluster_id]  # an unknown cluster raises KeyError first
         if (vni, prefix) not in self._routes.get(cluster_id, {}):
             raise TableError(f"route vni={vni} {prefix} not in desired state")
-        self._journal_append("remove-route", {
-            "cluster": cluster_id, "vni": vni, "prefix": str(prefix),
-        })
-        self._crash_point("remove-route", cluster_id)
-        del self._routes[cluster_id][(vni, prefix)]
-        self._index_discard(self._route_index, cluster_id, vni, prefix)
-        cluster.for_each_gateway(lambda gw: gw.remove_route(vni, prefix))
-        self._record_size(cluster_id, time)
+        self._apply_single(cluster_id, StagedOp.remove_route(cluster_id, vni, prefix), time)
 
     def remove_vm(self, cluster_id: str, vni: int, vm_ip: int, version: int,
                   time: float = 0.0) -> None:
         """Remove a VM binding from desired state and every gateway."""
-        cluster = self.clusters[cluster_id]
-        key = (vni, vm_ip, version)
-        if key not in self._vms.get(cluster_id, {}):
+        self.clusters[cluster_id]  # an unknown cluster raises KeyError first
+        if (vni, vm_ip, version) not in self._vms.get(cluster_id, {}):
             raise TableError(f"vm ({vni}, {vm_ip:#x}) not in desired state")
-        self._journal_append("remove-vm", {
-            "cluster": cluster_id, "vni": vni, "vm_ip": vm_ip,
-            "vm_version": version,
-        })
-        self._crash_point("remove-vm", cluster_id)
-        del self._vms[cluster_id][key]
-        self._index_discard(self._vm_index, cluster_id, vni, (vm_ip, version))
-        cluster.for_each_gateway(lambda gw: gw.remove_vm(vni, vm_ip, version))
-        self._record_size(cluster_id, time)
+        self._apply_single(
+            cluster_id, StagedOp.remove_vm(cluster_id, vni, vm_ip, version), time)
 
     def remove_tenant(self, vni: int, time: float = 0.0) -> int:
         """Offboard a tenant completely; returns the entries removed."""
@@ -622,45 +636,19 @@ class Controller:
             if op.value is None and op.key not in (routes if op.is_route else vms):
                 raise TableError(f"transaction removes unknown entry: {op.payload}")
 
-    @staticmethod
-    def _vm_lookup(gw, vni: int, vm_ip: int, version: int):
-        """A member's current VM binding. XGW-H keeps bindings in the
-        pipeline-split table; XGW-x86 members (hybrid clusters) keep them
-        in the flat DRAM table."""
-        table = getattr(gw, "split_vm_nc", None)
-        if table is None:
-            table = gw.tables.vm_nc
-        return table.lookup(vni, vm_ip, version)
-
     def _apply_op_to_gateway(self, gw, cluster_id: str, op: StagedOp,
                              undo: List[Callable[[], None]]) -> None:
         """Prepare one op on one gateway, pushing its inverse onto *undo*.
         Pre-images are keyed reads — O(key length), never a table walk."""
-        key, value = op.key, op.value
-        if op.is_route:
-            vni, prefix = key
-            if value is None:
-                prev = self._routes[cluster_id][key]
-                gw.remove_route(vni, prefix)
-            else:
-                prev = gw.tables.routing.get(vni, prefix)
-                gw.install_route(vni, prefix, value, replace=True)
-            if prev is None:
-                undo.append(lambda: gw.remove_route(vni, prefix))
-            else:
-                undo.append(lambda: gw.install_route(vni, prefix, prev, replace=True))
+        is_route, key = op.is_route, op.key
+        if op.value is None:
+            prev = (self._routes if is_route else self._vms)[cluster_id][key]
+        elif is_route:
+            prev = gw.tables.routing.get(*key)
         else:
-            vni, vm_ip, version = key
-            if value is None:
-                prev = self._vms[cluster_id][key]
-                gw.remove_vm(vni, vm_ip, version)
-            else:
-                prev = self._vm_lookup(gw, vni, vm_ip, version)
-                gw.install_vm(vni, vm_ip, version, value, replace=True)
-            if prev is None:
-                undo.append(lambda: gw.remove_vm(vni, vm_ip, version))
-            else:
-                undo.append(lambda: gw.install_vm(vni, vm_ip, version, prev, replace=True))
+            prev = vm_table(gw).lookup(*key)
+        push(gw, is_route, key, op.value)
+        undo.append(lambda: push(gw, is_route, key, prev))
 
     # The prepare/unwind engine: the three phases every two-phase push is
     # made of, shared by ``transaction`` and the cross-shard 2PC
@@ -743,97 +731,34 @@ class Controller:
 
     def consistency_check(self, cluster_id: str) -> List[Inconsistency]:
         """Compare desired state against every gateway of one cluster —
-        including the hot backup, which must hold identical tables."""
-        cluster = self.clusters[cluster_id]
-        findings: List[Inconsistency] = []
-        desired_routes = self._routes.get(cluster_id, {})
-        desired_vms = self._vms.get(cluster_id, {})
-        for member in cluster.all_members():
-            gw = member.gateway
-            installed = {
-                (vni, prefix): action for vni, prefix, action in gw.tables.routing.items()
-            }
-            for key, action in desired_routes.items():
-                have = installed.get(key)
-                if have != action:
-                    kind = "missing-route" if have is None else "corrupt-route"
-                    findings.append(
-                        Inconsistency(cluster_id, member.name, kind, f"{key}", key=key)
-                    )
-            for key in installed:
-                if key not in desired_routes:
-                    findings.append(
-                        Inconsistency(cluster_id, member.name, "extra-route", f"{key}",
-                                      key=key)
-                    )
-            for (vni, vm_ip, version), binding in desired_vms.items():
-                have_binding = self._vm_lookup(gw, vni, vm_ip, version)
-                if have_binding != binding:
-                    kind = "missing-vm" if have_binding is None else "corrupt-vm"
-                    findings.append(
-                        Inconsistency(
-                            cluster_id, member.name, kind, f"({vni}, {vm_ip:#x})",
-                            key=(vni, vm_ip, version),
-                        )
-                    )
-        return findings
-
-    def repair(self, cluster_id: str) -> int:
-        """Re-push desired state to a divergent cluster; returns fixes."""
-        findings = self.consistency_check(cluster_id)
-        if not findings:
-            return 0
-        cluster = self.clusters[cluster_id]
-        for (vni, prefix), action in self._routes.get(cluster_id, {}).items():
-            cluster.for_each_gateway(
-                lambda gw, v=vni, p=prefix, a=action: gw.install_route(v, p, a, replace=True)
-            )
-        for (vni, vm_ip, version), binding in self._vms.get(cluster_id, {}).items():
-            cluster.for_each_gateway(
-                lambda gw, v=vni, ip=vm_ip, ver=version, b=binding: gw.install_vm(
-                    v, ip, ver, b, replace=True
-                )
-            )
-        return len(findings)
+        including the hot backup, which must hold identical tables — both
+        ways for routes and VM bindings alike."""
+        routes, vms = self._routes.get(cluster_id, {}), self._vms.get(cluster_id, {})
+        return [Inconsistency(cluster_id, member.name, kind, describe_key(key), key=key)
+                for member in self.clusters[cluster_id].all_members()
+                for is_route, desired in ((True, routes), (False, vms))
+                for kind, key in divergence(member.gateway, is_route, desired)]
 
     # -- targeted repair + reconciliation loop -----------------------------
 
     def _repair_one(self, cluster_id: str, finding: Inconsistency) -> None:
-        """Re-push exactly one divergent entry to exactly one member."""
+        """Make exactly one member's entry at the finding's key match
+        desired state: re-push it, or withdraw it when intent has none."""
         if finding.key is None:
             raise TableError(f"finding has no structured key: {finding}")
         gw = self.clusters[cluster_id].find_member(finding.node).gateway
-        if finding.kind in ("missing-route", "corrupt-route"):
-            vni, prefix = finding.key
-            gw.install_route(vni, prefix, self._routes[cluster_id][finding.key],
-                             replace=True)
-        elif finding.kind == "extra-route":
-            vni, prefix = finding.key
-            gw.remove_route(vni, prefix)
-        elif finding.kind in ("missing-vm", "corrupt-vm"):
-            vni, vm_ip, version = finding.key
-            gw.install_vm(vni, vm_ip, version, self._vms[cluster_id][finding.key],
-                          replace=True)
-        elif finding.kind == "extra-vm":
-            # Produced by the audit's intent-vs-installed sweep (the
-            # consistency_check VM comparison stays one-way); withdrawing
-            # the surviving binding closes the PR-2 dropped-remove_vm
-            # blind spot.
-            vni, vm_ip, version = finding.key
-            gw.remove_vm(vni, vm_ip, version)
-        else:  # pragma: no cover - kinds are produced by consistency_check
-            raise TableError(f"unknown inconsistency kind {finding.kind}")
+        is_route = finding.kind.endswith("-route")
+        desired = (self._routes if is_route else self._vms).get(cluster_id, {})
+        push(gw, is_route, finding.key, desired.get(finding.key))
 
     def targeted_repair(
         self, cluster_id: str, findings: Optional[List[Inconsistency]] = None
     ) -> Tuple[int, List[Inconsistency]]:
-        """Repair only the divergent keys on only the divergent members.
-
-        Unlike :meth:`repair` (full table re-push), this touches nothing
-        that already agrees with desired state. Returns ``(applied,
-        failed)`` where *failed* holds the findings whose push raised a
-        :class:`TableError` (e.g. insufficient gateway memory) — the
-        reconcile loop retries those with backoff.
+        """Repair only the divergent keys on only the divergent members,
+        touching nothing that already agrees with desired state. Returns
+        ``(applied, failed)`` where *failed* holds the findings whose push
+        raised a :class:`TableError` (e.g. insufficient gateway memory) —
+        the reconcile loop retries those with backoff.
         """
         if findings is None:
             findings = self.consistency_check(cluster_id)
@@ -855,23 +780,15 @@ class Controller:
         if attempt > max_retries:
             self.counters.add("retries_exhausted", len(findings))
             return
-        delay = backoff * (2 ** (attempt - 1))
 
         def retry() -> None:
             self.counters.add("repair_retries")
-            still_failed: List[Inconsistency] = []
-            for finding in findings:
-                try:
-                    self._repair_one(cluster_id, finding)
-                except TableError:
-                    still_failed.append(finding)
-                else:
-                    self.counters.add("repairs_applied")
+            _applied, still_failed = self.targeted_repair(cluster_id, findings)
             if still_failed:
                 self._schedule_repair_retry(engine, cluster_id, still_failed,
                                             attempt + 1, max_retries, backoff)
 
-        engine.schedule_in(delay, retry)
+        engine.schedule_in(backoff * (2 ** (attempt - 1)), retry)
 
     def _probe_gate(self, cluster_id: str) -> bool:
         """Probe-before-readmit: a quarantined cluster returns to service
@@ -906,6 +823,15 @@ class Controller:
                                             backoff=backoff)
         self._probe_gate(cluster_id)
 
+    def reconcile_tick(self, engine: Engine, max_retries: int, backoff: float,
+                       cluster_ids: Optional[Iterable[str]] = None) -> None:
+        """One §6.1 pass — consistency-check → targeted repair →
+        probe-before-readmit — over *cluster_ids* (default: all)."""
+        self.counters.add("reconcile_ticks")
+        ids = sorted(cluster_ids) if cluster_ids is not None else sorted(self.clusters)
+        for cid in ids:
+            self._reconcile_cluster(engine, cid, max_retries, backoff)
+
     def reconcile_loop(
         self,
         engine: Engine,
@@ -915,8 +841,7 @@ class Controller:
         backoff: Optional[float] = None,
         until: Optional[float] = None,
     ) -> PeriodicTask:
-        """Register the §6.1 cycle — consistency-check → targeted repair →
-        probe-before-readmit — every *interval* on *engine*.
+        """Register :meth:`reconcile_tick` every *interval* on *engine*.
 
         Failed installs are retried with exponential backoff (*backoff*,
         ``2**attempt`` growth, default ``interval / 4``) up to
@@ -926,14 +851,9 @@ class Controller:
         """
         if backoff is None:
             backoff = interval / 4.0
-
-        def tick() -> None:
-            self.counters.add("reconcile_ticks")
-            ids = sorted(cluster_ids) if cluster_ids is not None else sorted(self.clusters)
-            for cid in ids:
-                self._reconcile_cluster(engine, cid, max_retries, backoff)
-
-        return engine.schedule_every(interval, tick, until=until)
+        return engine.schedule_every(
+            interval, lambda: self.reconcile_tick(engine, max_retries, backoff, cluster_ids),
+            until=until)
 
     # -- probing --------------------------------------------------------------------
 

@@ -30,9 +30,10 @@ all-aborted: :meth:`ShardedController.recover` scans every shard for
 durable decisions, resolves each in-doubt (prepared, unterminated,
 xid-tagged) transaction — commit iff the coordinator's ``xtxn-commit``
 exists, abort otherwise — and only then replays each shard
-independently. Gateway writes pushed during a doomed prepare surface
-purely as audit findings (extra-route / extra-vm) and are repaired
-through the normal :class:`~repro.audit.repair.RepairBridge` path.
+independently. Each shard's replay converges its members onto the
+recovered intent, so gateway writes pushed during a doomed prepare —
+extra routes and extra VM bindings alike — are withdrawn by recovery
+itself.
 """
 
 from __future__ import annotations
@@ -396,9 +397,6 @@ class ShardedController:
         def tick() -> None:
             sid = order[cursor["i"] % len(order)]
             cursor["i"] += 1
-            ctl = self.shards[sid].controller
-            ctl.counters.add("reconcile_ticks")
-            for cid in sorted(ctl.clusters):
-                ctl._reconcile_cluster(engine, cid, max_retries, backoff)
+            self.shards[sid].controller.reconcile_tick(engine, max_retries, backoff)
 
         return engine.schedule_every(interval, tick, until=until)

@@ -72,7 +72,7 @@ class TestCorruptionClasses:
         arm(ctrl, FaultSpec(FaultKind.DROP_VM_WRITE, node="*-gw0",
                             max_fires=1))
         ctrl.remove_vm(cluster_id, 100, ip("192.168.10.2"), 4)
-        assert ctrl.consistency_check(cluster_id) == []
+        assert [f.kind for f in ctrl.consistency_check(cluster_id)] == ["extra-vm"]
 
         scanner, bridge, found = detect_within_one_cycle(ctrl, {"extra-vm"})
         save_findings_log("dropped-vm-remove", scanner)

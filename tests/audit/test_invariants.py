@@ -1,7 +1,6 @@
 """Each invariant fires on exactly its corruption class and stays silent
 on a clean cluster — including the PR-2 blind spot regression: a dropped
-``remove_vm`` must surface as ``extra-vm`` even though the controller's
-own ``consistency_check`` cannot see it."""
+``remove_vm`` must surface as ``extra-vm``."""
 
 import pytest
 
@@ -84,16 +83,15 @@ class TestRouteEquivalence:
 class TestVmEquivalenceBlindSpot:
     def test_dropped_remove_vm_flagged_as_extra_vm(self, region):
         """Regression for the PR-2 blind spot: FaultyGateway drops the
-        remove_vm, consistency_check sees nothing, the audit does."""
+        remove_vm; the audit and consistency_check both see the survivor."""
         ctrl, cluster_id, ctx = region
         plan = FaultPlan(seed=7, specs=[
             FaultSpec(FaultKind.DROP_VM_WRITE, node="*-gw0", max_fires=1)])
         FaultInjector(plan).arm_controller(ctrl)
         ctrl.remove_vm(cluster_id, 100, ip("192.168.10.2"), 4)
         assert plan.injected(FaultKind.DROP_VM_WRITE) == 1
-        # The controller's own check is blind to the survivor ...
-        assert ctrl.consistency_check(cluster_id) == []
-        # ... the audit is not.
+        assert [(f.node, f.kind) for f in ctrl.consistency_check(cluster_id)] == \
+            [(f"{cluster_id}-gw0", "extra-vm")]
         ctx = refresh(ctrl, ctx)
         flagged = {m.name: [f.kind for f in VmEquivalence().check(ctx, m)]
                    for m in members_of(ctrl, cluster_id)}

@@ -123,14 +123,14 @@ class TestConsistency:
         cluster_id = controller.add_tenant(profile, routes, vms)
         gw = controller.clusters[cluster_id].members()[0].gateway
         gw.remove_route(100, routes[0].prefix)
-        fixed = controller.repair(cluster_id)
-        assert fixed >= 1
+        fixed, failed = controller.targeted_repair(cluster_id)
+        assert fixed >= 1 and failed == []
         assert controller.consistency_check(cluster_id) == []
 
     def test_repair_clean_cluster_is_zero(self, controller):
         profile, routes, vms = tenant_payload(100)
         cluster_id = controller.add_tenant(profile, routes, vms)
-        assert controller.repair(cluster_id) == 0
+        assert controller.targeted_repair(cluster_id) == (0, [])
 
 
 class TestProbing:

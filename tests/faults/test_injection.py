@@ -167,18 +167,28 @@ class TestRemoveFaults:
             ctrl.remove_vm(cluster_id, 100, vms[0].vm_ip, 4)
         assert plan.injected(FaultKind.FAIL_VM_WRITE) == 1
 
-    def test_dropped_vm_remove_is_a_known_blind_spot(self):
-        # Extra VM bindings cannot be enumerated from the digest-compressed
-        # table, so a surviving binding is invisible to consistency_check —
-        # the documented one-way VM comparison.
+    def test_dropped_vm_remove_is_found_and_repaired(self):
+        # The surviving binding is an extra-vm finding of the two-way VM
+        # diff; one reconcile tick withdraws it and readmits the cluster.
         ctrl, plan, _ = armed_controller(
             FaultSpec(FaultKind.DROP_VM_WRITE, at_writes=(8,)))
         cluster_id, _routes, vms = onboard(ctrl)
         ctrl.remove_vm(cluster_id, 100, vms[0].vm_ip, 4)
         gw = ctrl.clusters[cluster_id].members()[0].gateway
         assert gw.split_vm_nc.lookup(100, vms[0].vm_ip, 4) is not None
-        assert ctrl.consistency_check(cluster_id) == []
         assert plan.injected(FaultKind.DROP_VM_WRITE) == 1
+        findings = ctrl.consistency_check(cluster_id)
+        assert [(f.node, f.kind, f.key) for f in findings] == [
+            (f"{cluster_id}-gw0", "extra-vm", (100, vms[0].vm_ip, 4))
+        ]
+        engine = Engine()
+        ctrl.reconcile_loop(engine, interval=1.0, until=1.0)
+        engine.run()
+        assert ctrl.counters["reconcile_ticks"] == 1
+        assert gw.split_vm_nc.lookup(100, vms[0].vm_ip, 4) is None
+        assert ctrl.consistency_check(cluster_id) == []
+        assert ctrl.is_admitted(cluster_id)
+        assert ctrl.counters["readmissions"] == 1
 
 
 class TestScheduledFaults:

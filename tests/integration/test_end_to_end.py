@@ -90,7 +90,7 @@ class TestFailureScenarios:
         vni, prefix, _ = next(iter(gw.tables.routing.items()))
         gw.remove_route(vni, prefix)
         assert region.controller.consistency_check(cluster_id)
-        region.controller.repair(cluster_id)
+        region.controller.targeted_repair(cluster_id)
         assert region.controller.consistency_check(cluster_id) == []
         assert region.controller.probe(cluster_id, limit=4).ok
 

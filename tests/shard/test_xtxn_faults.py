@@ -1,8 +1,8 @@
 """The cross-shard 2PC crash matrix: a seeded CONTROLLER_CRASH at every
 protocol stage — pre-prepare, between prepares, pre-commit-marker,
 mid-commit — must recover to all-committed or all-aborted, with any
-gateway residue surfacing only as audit findings that the RepairBridge
-clears."""
+gateway residue withdrawn by recovery's member convergence and the
+audit rescan clean."""
 
 import json
 import os
@@ -12,7 +12,7 @@ import pytest
 from tests.shard.helpers import (SHARD_VNIS, ip, make_sharded, onboard,
                                  stage_peer_chain, subnet_of)
 
-from repro.core.controller import VmEntry
+from repro.core.controller import VmEntry, vm_table
 from repro.core.journal import ControllerCrash
 from repro.faults import FaultInjector, FaultKind, FaultPlan, FaultSpec
 from repro.shard import ShardedAuditDriver, ShardedController
@@ -32,8 +32,8 @@ def armed_region(*specs, seed=11):
 
 def attempt_chain(sharded):
     """The canonical cross-shard batch: the A<->B peer chain plus one new
-    VM binding per side (VM residue is what recovery's sync cannot
-    withdraw, so it must surface through the audit)."""
+    VM binding per side, so a doomed prepare leaves route *and* VM
+    residue for recovery to withdraw."""
     with sharded.cross_transaction() as xtxn:
         stage_peer_chain(xtxn, A, B)
         xtxn.install_vm(VmEntry(A, ip("192.168.10.200"), 4,
@@ -81,8 +81,7 @@ def recover_and_audit(sharded, name):
     present = chain_keys_present(recovered)
     assert present[A] == present[B], f"partial commit after {name}: {present}"
     assert recovered.in_doubt() == {}
-    # Route residue was withdrawn by recovery's sync; VM residue is only
-    # reachable through the audit's two-way comparison.
+    # Recovery's sync withdrew route and VM residue alike.
     assert recovered.consistency_check() == {}
     driver = ShardedAuditDriver(recovered)
     driver.full_scan()
@@ -108,7 +107,7 @@ class TestCrashMatrix:
     def test_crash_between_prepares_presumes_abort(self):
         # Death after the first participant (s00) prepared: its txn
         # record is in doubt, its gateways hold the batch. Presumed
-        # abort; the VM residue on s00 is an extra-vm audit finding.
+        # abort; recovery itself withdraws the VM residue on s00.
         sharded, _plan = armed_region(
             FaultSpec(FaultKind.CONTROLLER_CRASH, cluster="s00",
                       at_op="xtxn-prepare", max_fires=1))
@@ -121,11 +120,27 @@ class TestCrashMatrix:
         assert recovered.counters["xtxn_resolved_abort"] == 1
         assert chain_keys_present(recovered) == {A: False, B: False}
         driver = ShardedAuditDriver(recovered)
-        findings = driver.full_scan()
-        kinds = {f.kind for fs in findings.values() for f in fs}
-        assert "extra-vm" in kinds, "prepare residue must surface in audit"
-        assert driver.repairs_applied() >= 1
-        assert driver.full_scan() == {}
+        assert driver.full_scan() == {}, "recovery withdraws the prepare residue"
+        assert driver.repairs_applied() == 0
+
+    def test_recovery_alone_withdraws_prepare_vm_residue(self):
+        # The between-prepares crash leaves s00's members holding the
+        # doomed batch's VM binding; recover_from converges them with no
+        # audit pass.
+        sharded, _plan = armed_region(
+            FaultSpec(FaultKind.CONTROLLER_CRASH, cluster="s00",
+                      at_op="xtxn-prepare", max_fires=1))
+        with pytest.raises(ControllerCrash, match="xtxn-prepare"):
+            attempt_chain(sharded)
+        key = (A, ip("192.168.10.200"), 4)
+        assert any(f.kind == "extra-vm" and f.key == key
+                   for f in sharded.consistency_check()["s00"])
+        recovered, writes = ShardedController.recover_from(sharded)
+        assert writes >= 1
+        assert recovered.consistency_check() == {}
+        members = recovered.shard_for(A).controller.clusters[
+            recovered.cluster_of(A)].all_members()
+        assert all(vm_table(m.gateway).lookup(*key) is None for m in members)
 
     def test_pre_commit_marker_crash_aborts_both_shards(self):
         # Both participants prepared, the coordinator dies before the
