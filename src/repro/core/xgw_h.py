@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from ..dataplane.columnar import BatchCompiler, PacketBatch
+from ..dataplane.columnar.compiler import PIPE_REFS
 from ..dataplane.gateway_logic import (
     ForwardAction,
     ForwardResult,
@@ -69,11 +70,11 @@ class XgwH:
     """
 
     def __init__(self, gateway_ip: int, tables: Optional[GatewayTables] = None,
-                 folded: bool = True, columnar: bool = True):
+                 columnar: bool = True):
         self.gateway_ip = gateway_ip
         self.tables = tables if tables is not None else GatewayTables()
         self.split_vm_nc = SplitVmNc.empty()
-        self.chip = Chip(folded=folded)
+        self.chip = Chip(folded=True)
         self.clock = 0.0
         self.program = XgwHProgram(self.tables, self.split_vm_nc, gateway_ip,
                                    clock=lambda: self.clock)
@@ -83,11 +84,10 @@ class XgwH:
         #: Columnar batch path (DESIGN §13): ``forward_batch`` executes a
         #: compiled program over struct-of-arrays bursts instead of
         #: simulating every fabric traversal, reproducing the per-packet
-        #: stats/pipe/bridge bookkeeping in aggregate. Only the folded
-        #: layout is compiled (it is the deployed one).
+        #: stats/pipe/bridge bookkeeping in aggregate.
         self._batch_compiler: Optional[BatchCompiler] = (
             BatchCompiler(self.tables, gateway_ip, split_vm_nc=self.split_vm_nc)
-            if columnar and folded else None
+            if columnar else None
         )
         self._compiled = None
         self._last_traversal = None
@@ -178,7 +178,7 @@ class XgwH:
                                  detail=traversal.drop_reason)
         # FORWARD: an early exit (1 pipe) is uplink traffic; the full folded
         # path (4 pipes) ends with the NC rewrite.
-        if traversal.pipes_traversed >= 4 or not self.chip.folded:
+        if traversal.pipes_traversed >= 4:
             self.stats.delivered += 1
             return ForwardResult(
                 ForwardAction.DELIVER_NC,
@@ -198,8 +198,8 @@ class XgwH:
         chip packet counts, per-pipe tallies, bridge bytes, table
         counters/meters — are identical to per-packet :meth:`forward`
         calls (differentially tested). The program recompiles whenever
-        the table generation vector moves; freeze windows and unfolded
-        chips fall back to the per-packet loop. *now* advances the
+        the table generation vector moves; freeze windows fall back to
+        the per-packet loop. *now* advances the
         data-plane clock once for the whole burst.
         """
         if now is not None:
@@ -230,9 +230,9 @@ class XgwH:
         chip = self.chip
         chip.packets_in += batch.n
         chip.packets_dropped += dropped
-        if tally.pipe_packets:
-            pipe_packets = chip.fabric.pipe_packets
-            for ref, count in tally.pipe_packets.items():
+        pipe_packets = chip.fabric.pipe_packets
+        for ref, count in zip(PIPE_REFS, tally.pipe_packets):
+            if count:
                 pipe_packets[ref] = pipe_packets.get(ref, 0) + count
         self._last_traversal = None
         return results

@@ -19,7 +19,14 @@ from .backend import (
     resolve_backend,
 )
 from .batch import PacketBatch
-from .compiler import BatchCompiler, BatchTally, CompiledAcl, CompiledProgram, KeyDecision
+from .compiler import (
+    BatchCompiler,
+    BatchTally,
+    CompiledAcl,
+    CompiledProgram,
+    Contribution,
+    KeyDecision,
+)
 
 __all__ = [
     "BACKEND_ENV",
@@ -27,6 +34,7 @@ __all__ = [
     "BatchTally",
     "CompiledAcl",
     "CompiledProgram",
+    "Contribution",
     "KeyDecision",
     "NumpyBackend",
     "PacketBatch",

@@ -8,27 +8,38 @@ stages executed over a whole :class:`~repro.dataplane.columnar.batch.
 PacketBatch` — the "Packet Transactions" guarded pipeline lowered to
 array operations instead of ALUs:
 
-1. **classify** — the ACL table becomes a :class:`CompiledAcl`: on the
-   numpy backend each rule is one predicate mask ANDed from per-column
-   compares (128-bit addresses split into two uint64 half-compares) and
-   applied first-match over the still-undecided lanes; the pure-python
-   backend runs the same first-match scan per lane.
-2. **meter** — per-key token buckets charge their lanes as one run in
-   lane order (bucket state depends only on its own ordered charge
-   sequence); VNIs with no bucket settle GREEN in a single update.
-3. **decide** — terminal decisions (routing resolution incl. PEER
+1. **decide** — terminal decisions (routing resolution incl. PEER
    chains + VM-NC lookup) are computed once per unique
    ``(VNI, inner dst, version)`` key and memoized for the program's
    lifetime; the memo is discarded with the program when any table
-   generation moves.
+   generation moves. Each decision also carries its tally
+   :class:`Contribution`, so a burst is first tallied with one integer
+   add per key.
+2. **classify** — the ACL table becomes a :class:`CompiledAcl`: on the
+   numpy backend each rule is one predicate mask ANDed from per-column
+   compares (128-bit addresses split into two uint64 half-compares) and
+   applied first-match over the still-undecided lanes; the pure-python
+   backend runs :meth:`CompiledAcl.first_match` lane by lane.
+3. **meter** — per-key token buckets charge their lanes as one run in
+   lane order (bucket state depends only on its own ordered charge
+   sequence); VNIs with no bucket settle GREEN in a single update.
 4. **assemble** — decisions scatter-gather back into per-lane
    :class:`~repro.dataplane.gateway_logic.ForwardResult` objects, each
    DELIVER lane rewritten by ``Packet.rewritten`` (on a packet decoded
    from the wire: a pending patch of its kept frame, no header built).
+5. **serve** (x86 with SNAT) — admitted SNAT-redirect lanes skip
+   assembly and go to :meth:`~repro.dataplane.services.SnatService.
+   serve_requests` in one call.
+6. **tally** — the per-class counts expand into per-action, per-reason
+   and (XGW-H) per-pipe, bridge-byte and Table D totals.
 
-Per-packet verdicts (ACL deny, meter red) are never memoized; counters
-and meters settle to byte-identical state vs the scalar oracle
-(property-tested in ``tests/dataplane/test_columnar_differential.py``).
+A lane a per-packet stage kills (ACL deny, meter red, redirect rate
+limit) moves from its decision's class to a drop class as it is killed;
+per-packet verdicts are never memoized. Counters and meters settle to
+byte-identical state vs the scalar oracle (property-tested in
+``tests/dataplane/test_columnar_differential.py``).
+:meth:`CompiledProgram.forward` is the same program entered one lane at
+a time, for a tier that forwards packet by packet (the DPU).
 
 >>> from repro.dataplane.gateway_logic import GatewayTables
 >>> from repro.dataplane.columnar.backend import resolve_backend
@@ -54,6 +65,8 @@ from ...tables.acl import AclVerdict
 from ...tables.errors import MissingEntryError
 from ...tables.meter import MeterColor
 from ...tables.vxlan_routing import RoutingLoopError, Scope
+from ...tofino.memory import NUM_PIPELINES
+from ...tofino.pipeline import Gress
 from ..gateway_logic import ForwardAction, ForwardResult, GatewayTables, vni_key
 from .batch import PacketBatch
 
@@ -61,13 +74,14 @@ _DROP = ForwardAction.DROP
 _DELIVER = ForwardAction.DELIVER_NC
 _REDIRECT = ForwardAction.REDIRECT_X86
 _UPLINK = ForwardAction.UPLINK
+_DENY = AclVerdict.DENY
+_RED = MeterColor.RED
 
 _MASK64 = (1 << 64) - 1
 
 #: Per-lane fate codes assigned by the per-packet stages. 0 keeps the
 #: lane on its key decision; the rest are per-packet drops that must
 #: never be memoized.
-_FATE_PASS = 0
 _FATE_NOT_VXLAN = 1
 _FATE_ACL_DENY = 2
 _FATE_METER_RED = 3
@@ -87,9 +101,49 @@ _FATE_DETAILS = {
 _BRIDGE1_BYTES = (24 + 3 + 7) // 8
 _BRIDGE23_BYTES = (24 + 3 + 32 + 7) // 8
 
+#: The chip's pipe refs, indexed ``2 * pipeline + (0 ingress | 1 egress)``.
+#: Tallies count per index; only the refs a burst touched become
+#: ``(pipeline, Gress)`` keys, when the gateway flushes them to its chip.
+PIPE_REFS = tuple((pipeline, gress) for pipeline in range(NUM_PIPELINES)
+                  for gress in (Gress.INGRESS, Gress.EGRESS))
 
-#: ForwardResult has no __post_init__; KeyDecision.build makes one per lane.
+
+#: ForwardResult has no __post_init__; the stages make one per lane.
 _result = unchecked(ForwardResult)
+
+
+class Contribution:
+    """What one lane adds to its burst's tally, shared by every decision
+    of one class: the action, the drop detail (None unless a drop) and,
+    on the XGW-H profile, the folded-chip bookkeeping of its path — the
+    pipe refs it crosses (indices into :data:`PIPE_REFS`), the bridge
+    bytes it carries and whether egress Table D counts it."""
+
+    __slots__ = ("action", "detail", "refs", "bridge", "table_d")
+
+    def __init__(self, action: ForwardAction, detail: Optional[str], entry: int,
+                 hw: bool):
+        self.action = action
+        self.detail = detail
+        self.table_d = hw and action is _DELIVER
+        ingress = 2 * entry  # every packet enters at its parity pipe
+        loopback = 2 * (entry + 1)
+        if not hw:
+            self.refs = ()
+            self.bridge = 0
+        elif action is _DELIVER:
+            # The full folded path, bridging out of the entry ingress and
+            # out of each loopback gress.
+            self.refs = (ingress, loopback + 1, loopback, ingress + 1)
+            self.bridge = _BRIDGE1_BYTES + 2 * _BRIDGE23_BYTES
+        elif action is _DROP and detail == "no-vm":
+            # Dropped by the VM-NC stage at the loopback egress.
+            self.refs = (ingress, loopback + 1)
+            self.bridge = _BRIDGE1_BYTES
+        else:
+            # Decided at the entry ingress (uplink, redirect, early drop).
+            self.refs = (ingress,)
+            self.bridge = 0
 
 
 class KeyDecision:
@@ -98,10 +152,13 @@ class KeyDecision:
     Mirrors :class:`~repro.dataplane.flowcache.CacheEntry`, with a
     prototype (packet, result) pair so replayed bursts of interned
     packets reuse the frozen result object instead of re-allocating it.
+    ``slot`` indexes the program's :class:`Contribution` for this
+    decision and ``entry`` is its XGW-H entry pipeline (the parity of
+    the inner destination); both are fixed at resolve time.
     """
 
     __slots__ = ("action", "detail", "resolved_vni", "nc_ip", "rewrite_vni",
-                 "proto_packet", "proto_result")
+                 "proto_packet", "proto_result", "slot", "entry")
 
     def __init__(self):
         self.action: Optional[ForwardAction] = None
@@ -111,6 +168,8 @@ class KeyDecision:
         self.rewrite_vni: Optional[int] = None
         self.proto_packet: Optional[Packet] = None
         self.proto_result: Optional[ForwardResult] = None
+        self.slot = 0
+        self.entry = 0
 
     def build(self, packet: Packet, gateway_ip: int, hw: bool) -> ForwardResult:
         """The ForwardResult for *packet* under this decision.
@@ -143,9 +202,10 @@ class CompiledAcl:
     On a vectorized backend each rule becomes one boolean mask built
     from per-column compares; DENY masks accumulate, every matched lane
     leaves the undecided set (first-match). The pure-python backend
-    runs the identical first-match scan lane by lane. Both return
-    ``(deny_lanes, matched)`` with *matched* equal to the number of
-    lanes any rule claimed — the table's ``matched`` telemetry.
+    runs :meth:`first_match` lane by lane, the function a one-lane entry
+    calls too. Both return ``(deny_lanes, matched)`` with *matched*
+    equal to the number of lanes any rule claimed — the table's
+    ``matched`` telemetry.
     """
 
     __slots__ = ("rules", "default_deny")
@@ -153,6 +213,30 @@ class CompiledAcl:
     def __init__(self, rules, default_deny: bool):
         self.rules = rules
         self.default_deny = default_deny
+
+    def first_match(self, vni: int, src: int, dst: int, proto: int,
+                    sport: int, dport: int) -> Optional[AclVerdict]:
+        """The verdict of the first rule matching one lane, or None when
+        no rule does (the table's default then decides)."""
+        for rule in self.rules:
+            if rule.vni is not None and rule.vni != vni:
+                continue
+            net = rule.src_net
+            if net is not None and (src & net[1]) != net[0]:
+                continue
+            net = rule.dst_net
+            if net is not None and (dst & net[1]) != net[0]:
+                continue
+            if rule.proto is not None and rule.proto != proto:
+                continue
+            ports = rule.src_ports
+            if ports is not None and not (ports[0] <= sport <= ports[1]):
+                continue
+            ports = rule.dst_ports
+            if ports is not None and not (ports[0] <= dport <= ports[1]):
+                continue
+            return rule.verdict
+        return None
 
     def classify(self, batch: PacketBatch) -> Tuple[List[int], int]:
         if batch.backend.vectorized:
@@ -210,59 +294,39 @@ class CompiledAcl:
         deny_lanes: List[int] = []
         deny_append = deny_lanes.append
         matched = 0
-        keys = batch.keys
         src = batch.src_list
         dst = batch.dst_list
         proto = batch.proto_list
         sport = batch.sport_list
         dport = batch.dport_list
-        rules = self.rules
+        first_match = self.first_match
         default_deny = self.default_deny
-        deny_verdict = AclVerdict.DENY
-        for i, key in enumerate(keys):
+        for i, key in enumerate(batch.keys):
             if key is None:
                 continue
-            vni = key[0]
-            for rule in rules:
-                if rule.vni is not None and rule.vni != vni:
-                    continue
-                net = rule.src_net
-                if net is not None and (src[i] & net[1]) != net[0]:
-                    continue
-                net = rule.dst_net
-                if net is not None and (dst[i] & net[1]) != net[0]:
-                    continue
-                if rule.proto is not None and rule.proto != proto[i]:
-                    continue
-                ports = rule.src_ports
-                if ports is not None and not (ports[0] <= sport[i] <= ports[1]):
-                    continue
-                ports = rule.dst_ports
-                if ports is not None and not (ports[0] <= dport[i] <= ports[1]):
-                    continue
-                matched += 1
-                if rule.verdict is deny_verdict:
-                    deny_append(i)
-                break
-            else:
+            verdict = first_match(key[0], src[i], dst[i], proto[i], sport[i], dport[i])
+            if verdict is None:
                 if default_deny:
+                    deny_append(i)
+            else:
+                matched += 1
+                if verdict is _DENY:
                     deny_append(i)
         return deny_lanes, matched
 
 
 class BatchTally:
     """Burst-level bookkeeping the gateway wrapper applies in one flush:
-    per-action counts, per-reason drop counts, the lanes needing SNAT
-    service (x86), and the hw profile's pipe/bridge aggregates."""
+    per-action counts, per-reason drop counts, and the hw profile's
+    per-pipe packet counts (indexed like :data:`PIPE_REFS`) and bridge
+    bytes."""
 
-    __slots__ = ("actions", "drop_details", "snat_lanes",
-                 "pipe_packets", "bridged_bytes")
+    __slots__ = ("actions", "drop_details", "pipe_packets", "bridged_bytes")
 
     def __init__(self):
         self.actions: Dict[ForwardAction, int] = {}
         self.drop_details: Dict[str, int] = {}
-        self.snat_lanes: List[int] = []
-        self.pipe_packets: Optional[dict] = None
+        self.pipe_packets: Optional[List[int]] = None
         self.bridged_bytes = 0
 
 
@@ -276,19 +340,42 @@ class CompiledProgram:
     """
 
     __slots__ = ("tables", "gateway_ip", "generations", "classifier",
-                 "split_vm_nc", "hw", "watch_snat", "memo")
+                 "split_vm_nc", "hw", "snat", "memo", "contributions",
+                 "_slots", "_redirect_slots", "_table_d_slots", "_served_slot")
 
     def __init__(self, tables: GatewayTables, gateway_ip: int,
                  generations: tuple, classifier: Optional[CompiledAcl],
-                 split_vm_nc=None, watch_snat: bool = False):
+                 split_vm_nc=None, snat=None):
         self.tables = tables
         self.gateway_ip = gateway_ip
         self.generations = generations
         self.classifier = classifier
         self.split_vm_nc = split_vm_nc
         self.hw = split_vm_nc is not None
-        self.watch_snat = watch_snat
+        self.snat = snat
         self.memo: Dict[tuple, KeyDecision] = {}
+        #: Every tally class a lane can fall in, indexed by
+        #: ``KeyDecision.slot``: each drop reason and each other action,
+        #: per entry pipeline, plus the SNAT lanes the serve stage takes.
+        #: ``_slots`` finds one by ``(drop detail or action value, entry)``.
+        self.contributions: List[Contribution] = []
+        self._slots: Dict[Tuple[str, int], int] = {}
+        entries = (0, 2) if self.hw else (0,)
+        classes = [(_DROP, detail) for detail in
+                   ("no-route", "peer-loop", "no-vm", *_FATE_DETAILS.values())]
+        classes += [(action, None) for action in (_DELIVER, _UPLINK, _REDIRECT)]
+        for action, detail in classes:
+            for entry in entries:
+                self._slots[detail or action.value, entry] = len(self.contributions)
+                self.contributions.append(Contribution(action, detail, entry, self.hw))
+        self._redirect_slots = [self._slots["redirect-x86", e] for e in entries]
+        self._table_d_slots = [slot for slot, c in enumerate(self.contributions)
+                               if c.table_d]
+        # The SNAT lanes: their action is the serve stage's to settle.
+        self._served_slot = -1
+        if snat is not None:
+            self._served_slot = len(self.contributions)
+            self.contributions.append(Contribution(_REDIRECT, None, 0, self.hw))
 
     # -- decide (once per unique key) -----------------------------------
 
@@ -296,17 +383,23 @@ class CompiledProgram:
         """Memoize decisions for *keys* via the bulk table helpers."""
         tables = self.tables
         memo = self.memo
+        slots = self._slots
+        hw = self.hw
+        serve = self.snat is not None
         local: List[tuple] = []
         for key, res in zip(keys, tables.routing.resolve_many(keys)):
             d = KeyDecision()
             memo[key] = d
+            d.entry = entry = 2 if hw and key[1] & 1 else 0
             if isinstance(res, MissingEntryError):
                 d.action = _DROP
                 d.detail = "no-route"
+                d.slot = slots["no-route", entry]
                 continue
             if isinstance(res, RoutingLoopError):
                 d.action = _DROP
                 d.detail = "peer-loop"
+                d.slot = slots["peer-loop", entry]
                 continue
             scope = res.action.scope
             if scope is Scope.LOCAL:
@@ -315,33 +408,92 @@ class CompiledProgram:
                 d.action = _REDIRECT
                 d.detail = res.action.target or "service"
                 d.resolved_vni = res.vni
+                d.slot = (self._served_slot if serve and d.detail == "snat"
+                          else slots["redirect-x86", entry])
             else:
                 d.action = _UPLINK
                 d.detail = res.action.target or scope.value
                 d.resolved_vni = res.vni
-        if not local:
-            return
-        if self.hw:
-            split = self.split_vm_nc
-            bindings = [split.lookup(res.vni, key[1], key[2])
-                        for key, res, _d in local]
-        else:
-            bindings = tables.vm_nc.lookup_many(
-                [(res.vni, key[1], key[2]) for key, res, _d in local])
-        for (key, res, d), binding in zip(local, bindings):
-            if binding is None:
-                d.action = _DROP
-                d.detail = "no-vm"
-                d.resolved_vni = res.vni
+                d.slot = slots["uplink", entry]
+        if local:
+            if self.hw:
+                split = self.split_vm_nc
+                bindings = [split.lookup(res.vni, key[1], key[2])
+                            for key, res, _d in local]
             else:
-                d.action = _DELIVER
-                d.detail = "local"
+                bindings = tables.vm_nc.lookup_many(
+                    [(res.vni, key[1], key[2]) for key, res, _d in local])
+            for (key, res, d), binding in zip(local, bindings):
                 d.resolved_vni = res.vni
-                d.nc_ip = binding.nc_ip
-                if res.vni != key[0]:
-                    d.rewrite_vni = res.vni
+                if binding is None:
+                    d.action = _DROP
+                    d.detail = "no-vm"
+                    d.slot = slots["no-vm", d.entry]
+                else:
+                    d.action = _DELIVER
+                    d.detail = "local"
+                    d.nc_ip = binding.nc_ip
+                    d.slot = slots["deliver-nc", d.entry]
+                    if res.vni != key[0]:
+                        d.rewrite_vni = res.vni
+
+    # -- one lane -------------------------------------------------------
+
+    def forward(self, packet: Packet, now: float = 0.0) -> ForwardResult:
+        """One lane through the x86 profile: tenant counter → ACL → meter
+        → the memoized key decision, charging every table as the scalar
+        :func:`~repro.dataplane.gateway_logic.forward` walk does (a SNAT
+        lane comes back as its REDIRECT result)."""
+        vector = packet._vector
+        if vector is not None:
+            vni, src, dst, proto, sport, dport, version, size, _, _, _ = vector
+        elif packet.vxlan is None:
+            return _result(_DROP, packet, "not-vxlan", None, None)
+        else:
+            vni = packet.vxlan.vni
+            src, dst, proto, sport, dport = packet.inner.five_tuple()
+            version = packet.inner.ip.version
+            size = packet.wire_length()
+        tables = self.tables
+        counter_key = vni_key(vni)
+        tables.counters.count(counter_key, size)
+        acl = tables.acl
+        acl.lookups += 1
+        classifier = self.classifier
+        if classifier is not None:
+            verdict = classifier.first_match(vni, src, dst, proto, sport, dport)
+            if verdict is None:
+                denied = classifier.default_deny
+            else:
+                acl.matched += 1
+                denied = verdict is _DENY
+            if denied:
+                return _result(_DROP, packet, "acl-deny", None, None)
+        if tables.meters.charge(counter_key, now, size) is _RED:
+            return _result(_DROP, packet, "meter-red", None, None)
+        key = (vni, dst, version)
+        d = self.memo.get(key)
+        if d is None:
+            self._resolve_keys([key])
+            d = self.memo[key]
+        if packet is d.proto_packet:
+            return d.proto_result
+        return d.build(packet, self.gateway_ip, False)
 
     # -- execute --------------------------------------------------------
+
+    def _kill(self, lanes: List[int], fate_code: int, fate: bytearray, decs,
+              inverse, counts: List[int], killed: List[int]) -> None:
+        """Give *lanes* a per-packet drop fate, moving each from its
+        decision's tally class to the matching drop class."""
+        slots = self._slots
+        detail = _FATE_DETAILS[fate_code]
+        for i in lanes:
+            fate[i] = fate_code
+            d = decs[inverse[i]]
+            counts[d.slot] -= 1
+            counts[slots[detail, d.entry]] += 1
+        killed.extend(lanes)
 
     def execute(self, batch: PacketBatch, now: float = 0.0
                 ) -> Tuple[List[ForwardResult], BatchTally]:
@@ -359,115 +511,100 @@ class CompiledProgram:
             self._resolve_keys(fresh)
         decs = [memo[key] for key in unique_keys]
 
+        # Every lane starts in its decision's tally class: one integer
+        # add per key decision. The per-packet stages move killed lanes.
+        counts = [0] * len(self.contributions)
+        for d, count in zip(decs, uniq_counts):
+            counts[d.slot] += count
         hw = self.hw
-        nonvxlan = batch.nonvxlan_lanes
         fate: Optional[bytearray] = None
+        killed: List[int] = []
+        nonvxlan = batch.nonvxlan_lanes
         if nonvxlan:
             fate = bytearray(n)
             for i in nonvxlan:
                 fate[i] = _FATE_NOT_VXLAN
-
-        # Per-uniq / per-VNI kill tallies from the per-packet stages.
-        denied_by_uniq: Dict[int, int] = {}
-        denied_bytes: Dict[int, int] = {}
-        denied_by_vni: Dict[int, int] = {}
-        red_by_uniq: Dict[int, int] = {}
-        red_bytes: Dict[int, int] = {}
-        limited_by_uniq: Dict[int, int] = {}
-        n_denied = n_red = n_limited = 0
+            counts[self._slots["not-vxlan", 0]] += len(nonvxlan)
 
         # Stage: ingress tenant counters. The x86 program counts every
         # VXLAN packet before the ACL; the hw program only counts
-        # delivered packets at egress (Table D, settled further down).
+        # delivered packets at egress (Table D, settled in the tally).
         if not hw and per_vni:
             tables.counters.count_batch_many(
-                {vni_key(vni): (acc[0], acc[1]) for vni, acc in per_vni.items()})
+                {vni_key(vni): acc for vni, acc in per_vni.items()})
 
         # Stage: ACL classify (per packet — full 5-tuple, never memoized).
         # The scalar program consults the ACL on every VXLAN packet, so
         # the lookup telemetry charges even on the pass-all fast path.
         if batch.vxlan_count:
             tables.acl.lookups += batch.vxlan_count
+        denied_by_vni: Dict[int, int] = {}
         classifier = self.classifier
         if classifier is not None and batch.vxlan_count:
             deny_lanes, matched = classifier.classify(batch)
-            acl = tables.acl
-            acl.matched += matched
+            tables.acl.matched += matched
             if deny_lanes:
                 if fate is None:
                     fate = bytearray(n)
-                n_denied = len(deny_lanes)
+                self._kill(deny_lanes, _FATE_ACL_DENY, fate, decs, inverse,
+                           counts, killed)
                 keys = batch.keys
                 for i in deny_lanes:
-                    fate[i] = _FATE_ACL_DENY
-                    u = inverse[i]
-                    size = sizes[i]
-                    denied_by_uniq[u] = denied_by_uniq.get(u, 0) + 1
-                    denied_bytes[u] = denied_bytes.get(u, 0) + size
                     vni = keys[i][0]
                     denied_by_vni[vni] = denied_by_vni.get(vni, 0) + 1
 
         # Stage: per-VNI meters, charged as per-key runs in lane order.
         meters = tables.meters
         if len(meters) == 0:
-            meters.pass_unmetered(batch.vxlan_count - n_denied)
+            meters.pass_unmetered(batch.vxlan_count - len(killed))
         else:
             greens = 0
+            red_lanes: List[int] = []
             for vni, lanes in batch.lanes_by_vni().items():
                 key = vni_key(vni)
                 if not meters.has_meter(key):
                     greens += per_vni[vni][0] - denied_by_vni.get(vni, 0)
                     continue
-                if fate is None:
-                    run_lanes = lanes
-                else:
-                    run_lanes = [i for i in lanes if not fate[i]]
+                run_lanes = lanes if fate is None else [i for i in lanes if not fate[i]]
                 colors = meters.charge_run(key, now, [sizes[i] for i in run_lanes])
-                if colors is None:
-                    continue
-                red = MeterColor.RED
-                for i, color in zip(run_lanes, colors):
-                    if color is red:
-                        if fate is None:
-                            fate = bytearray(n)
-                        fate[i] = _FATE_METER_RED
-                        u = inverse[i]
-                        red_by_uniq[u] = red_by_uniq.get(u, 0) + 1
-                        red_bytes[u] = red_bytes.get(u, 0) + sizes[i]
-                        n_red += 1
+                red_lanes += [i for i, color in zip(run_lanes, colors) if color is _RED]
             if greens:
                 meters.pass_unmetered(greens)
+            if red_lanes:
+                if fate is None:
+                    fate = bytearray(n)
+                self._kill(red_lanes, _FATE_METER_RED, fate, decs, inverse,
+                           counts, killed)
 
         # Stage (hw only): §4.2 overload-protection meter on the
         # redirect path, charged for admitted SERVICE lanes in lane
         # order (the same order the scalar pipeline charges them).
         if hw:
-            service = {u for u, d in enumerate(decs) if d.action is _REDIRECT}
-            if service:
-                if fate is None:
-                    service_lanes = [i for i in range(n) if inverse[i] in service]
-                else:
-                    service_lanes = [i for i in range(n)
-                                     if not fate[i] and inverse[i] in service]
+            service = sum(counts[s] for s in self._redirect_slots)
+            if service and not meters.has_meter("redirect-x86"):
+                meters.pass_unmetered(service)
+            elif service:
+                service_lanes = [i for i in range(n)
+                                 if (fate is None or not fate[i])
+                                 and decs[inverse[i]].action is _REDIRECT]
                 colors = meters.charge_run(
                     "redirect-x86", now, [sizes[i] for i in service_lanes])
-                if colors is not None:
-                    red = MeterColor.RED
-                    for i, color in zip(service_lanes, colors):
-                        if color is red:
-                            if fate is None:
-                                fate = bytearray(n)
-                            fate[i] = _FATE_REDIRECT_LIMITED
-                            u = inverse[i]
-                            limited_by_uniq[u] = limited_by_uniq.get(u, 0) + 1
-                            n_limited += 1
+                limited = [i for i, color in zip(service_lanes, colors)
+                           if color is _RED]
+                if limited:
+                    if fate is None:
+                        fate = bytearray(n)
+                    self._kill(limited, _FATE_REDIRECT_LIMITED, fate, decs,
+                               inverse, counts, killed)
 
         # Stage: assemble — scatter-gather decisions back into per-lane
         # results. The all-pass shape (steady-state replay) runs without
-        # any fate checks.
+        # any fate checks; SNAT lanes are left to the serve stage.
         gateway_ip = self.gateway_ip
         results: List[Optional[ForwardResult]] = [None] * n
-        if fate is None:
+        served_slot = self._served_slot
+        served_lanes: List[int] = []
+        if fate is None and (served_slot < 0 or not counts[served_slot]):
             for i, p in enumerate(packets):
                 d = decs[inverse[i]]
                 results[i] = (d.proto_result if p is d.proto_packet
@@ -475,107 +612,90 @@ class CompiledProgram:
         else:
             details = _FATE_DETAILS
             for i, p in enumerate(packets):
-                f = fate[i]
-                if f == _FATE_PASS:
-                    d = decs[inverse[i]]
+                if fate is not None and fate[i]:
+                    results[i] = _result(_DROP, p, details[fate[i]], None, None)
+                    continue
+                d = decs[inverse[i]]
+                if d.slot == served_slot:
+                    served_lanes.append(i)
+                else:
                     results[i] = (d.proto_result if p is d.proto_packet
                                   else d.build(p, gateway_ip, hw))
-                else:
-                    results[i] = ForwardResult(_DROP, p, detail=details[f])
 
-        # Stage: tally.
+        # Stage (x86 with SNAT): the request service, one call for the
+        # burst's admitted SNAT lanes.
+        snat_drops = (self.snat.serve_requests(packets, served_lanes, results, now)
+                      if served_lanes else {})
+
+        # Stage: tally — expand the per-class counts.
         tally = BatchTally()
         actions = tally.actions
         drop_details = tally.drop_details
-        for u, d in enumerate(decs):
-            admitted = (uniq_counts[u] - denied_by_uniq.get(u, 0)
-                        - red_by_uniq.get(u, 0) - limited_by_uniq.get(u, 0))
-            if not admitted:
+        contributions = self.contributions
+        pipe = [0] * len(PIPE_REFS) if hw else None
+        bridged = 0
+        for slot, count in enumerate(counts):
+            if not count or slot == served_slot:
                 continue
-            action = d.action
-            actions[action] = actions.get(action, 0) + admitted
-            if action is _DROP:
-                drop_details[d.detail] = drop_details.get(d.detail, 0) + admitted
-        for count, detail in ((len(nonvxlan), "not-vxlan"),
-                              (n_denied, "acl-deny"),
-                              (n_red, "meter-red"),
-                              (n_limited, "redirect-rate-limited")):
-            if count:
+            c = contributions[slot]
+            actions[c.action] = actions.get(c.action, 0) + count
+            if c.detail is not None:
+                drop_details[c.detail] = drop_details.get(c.detail, 0) + count
+            if hw:
+                for ref in c.refs:
+                    pipe[ref] += count
+                bridged += count * c.bridge
+        if served_lanes:
+            uplinked = len(served_lanes)
+            for detail, count in snat_drops.items():
+                uplinked -= count
                 actions[_DROP] = actions.get(_DROP, 0) + count
                 drop_details[detail] = drop_details.get(detail, 0) + count
-
-        if self.watch_snat:
-            watch = {u for u, d in enumerate(decs)
-                     if d.action is _REDIRECT and d.detail == "snat"}
-            if watch:
-                if fate is None:
-                    tally.snat_lanes = [i for i in range(n) if inverse[i] in watch]
-                else:
-                    tally.snat_lanes = [i for i in range(n)
-                                        if not fate[i] and inverse[i] in watch]
-
+            if uplinked:
+                actions[_UPLINK] = actions.get(_UPLINK, 0) + uplinked
         if hw:
-            self._tally_fabric(tally, decs, unique_keys, uniq_counts, uniq_bytes,
-                               denied_by_uniq, denied_bytes,
-                               red_by_uniq, red_bytes, limited_by_uniq,
-                               len(nonvxlan))
+            # Table D (egress counters): delivered packets only, keyed by
+            # the packet's original VNI; the rewrite preserves the wire
+            # length. When every lane was delivered that is the burst's
+            # per-VNI totals, in the same first-touch order.
+            counted = sum(counts[s] for s in self._table_d_slots)
+            if counted == batch.vxlan_count:
+                tables.counters.count_batch_many(
+                    {vni_key(vni): acc for vni, acc in per_vni.items()})
+            elif counted:
+                tables.counters.count_batch_many(
+                    self._table_d_charges(batch, decs, killed))
+            tally.pipe_packets = pipe
+            tally.bridged_bytes = bridged
         return results, tally
 
-    def _tally_fabric(self, tally: BatchTally, decs, unique_keys, uniq_counts,
-                      uniq_bytes, denied_by_uniq, denied_bytes,
-                      red_by_uniq, red_bytes, limited_by_uniq,
-                      nonvxlan_count: int) -> None:
-        """Aggregate the folded-chip bookkeeping (per-pipe packet counts,
-        bridge bytes, the egress Table D counters) for the hw profile —
-        identical totals to per-packet fabric traversals."""
-        from ...tofino.pipeline import Gress
-
-        ingress = Gress.INGRESS
-        egress = Gress.EGRESS
-        pipe: Dict[tuple, int] = {}
-        bridged = 0
-        egress_charges: Dict[tuple, list] = {}
+    def _table_d_charges(self, batch: PacketBatch, decs, killed: List[int]
+                         ) -> Dict[tuple, list]:
+        """Per-VNI ``[packets, bytes]`` of a burst's admitted lanes that
+        Table D counts, in first-touch key order."""
+        contributions = self.contributions
+        unique_keys, inverse, uniq_counts, uniq_bytes, _ = batch.key_index()
+        if killed:
+            sizes = batch.sizes
+            uniq_counts = list(uniq_counts)
+            uniq_bytes = list(uniq_bytes)
+            for i in killed:
+                u = inverse[i]
+                uniq_counts[u] -= 1
+                uniq_bytes[u] -= sizes[i]
+        charges: Dict[tuple, list] = {}
         for u, d in enumerate(decs):
-            key = unique_keys[u]
-            entry = 0 if key[1] % 2 == 0 else 2
-            total = uniq_counts[u]
-            ref = (entry, ingress)
-            pipe[ref] = pipe.get(ref, 0) + total
-            admitted = (total - denied_by_uniq.get(u, 0)
-                        - red_by_uniq.get(u, 0) - limited_by_uniq.get(u, 0))
-            if not admitted:
+            count = uniq_counts[u]
+            if not count or not contributions[d.slot].table_d:
                 continue
-            action = d.action
-            if action is _DELIVER or (action is _DROP and d.detail == "no-vm"):
-                ref = (entry + 1, egress)
-                pipe[ref] = pipe.get(ref, 0) + admitted
-                bridged += admitted * _BRIDGE1_BYTES
-                if action is _DELIVER:
-                    ref = (entry + 1, ingress)
-                    pipe[ref] = pipe.get(ref, 0) + admitted
-                    ref = (entry, egress)
-                    pipe[ref] = pipe.get(ref, 0) + admitted
-                    bridged += admitted * 2 * _BRIDGE23_BYTES
-                    # Table D (egress counters): delivered packets only,
-                    # keyed by the packet's original VNI; the rewrite
-                    # preserves the wire length.
-                    ckey = vni_key(key[0])
-                    admitted_bytes = (uniq_bytes[u] - denied_bytes.get(u, 0)
-                                      - red_bytes.get(u, 0))
-                    acc = egress_charges.get(ckey)
-                    if acc is None:
-                        egress_charges[ckey] = [admitted, admitted_bytes]
-                    else:
-                        acc[0] += admitted
-                        acc[1] += admitted_bytes
-        if nonvxlan_count:
-            ref = (0, ingress)
-            pipe[ref] = pipe.get(ref, 0) + nonvxlan_count
-        if egress_charges:
-            self.tables.counters.count_batch_many(
-                {k: (acc[0], acc[1]) for k, acc in egress_charges.items()})
-        tally.pipe_packets = pipe
-        tally.bridged_bytes = bridged
+            key = vni_key(unique_keys[u][0])
+            acc = charges.get(key)
+            if acc is None:
+                charges[key] = [count, uniq_bytes[u]]
+            else:
+                acc[0] += count
+                acc[1] += uniq_bytes[u]
+        return charges
 
 
 class BatchCompiler:
@@ -583,16 +703,18 @@ class BatchCompiler:
 
     Pass *split_vm_nc* for the XGW-H profile (parity-split VM-NC halves,
     redirect-path metering, folded-chip bookkeeping); leave it None for
-    XGW-x86. *watch_snat* makes the program report admitted SNAT
-    redirect lanes so the x86 wrapper can run the service layer on them.
+    XGW-x86. *snat* (the gateway's
+    :class:`~repro.dataplane.services.SnatService`) makes SNAT requests
+    a stage of the program: admitted SNAT-redirect lanes are served in
+    place instead of assembled as REDIRECT results.
     """
 
     def __init__(self, tables: GatewayTables, gateway_ip: int,
-                 split_vm_nc=None, watch_snat: bool = False):
+                 split_vm_nc=None, snat=None):
         self.tables = tables
         self.gateway_ip = gateway_ip
         self.split_vm_nc = split_vm_nc
-        self.watch_snat = watch_snat
+        self.snat = snat
 
     def generations(self) -> tuple:
         """The live generation vector guarding compiled programs — the
@@ -617,4 +739,4 @@ class BatchCompiler:
                                      acl.default_verdict is AclVerdict.DENY)
         return CompiledProgram(self.tables, self.gateway_ip,
                                self.generations(), classifier,
-                               self.split_vm_nc, self.watch_snat)
+                               self.split_vm_nc, self.snat)

@@ -21,6 +21,7 @@ from enum import Enum
 from typing import Optional
 
 from ..net.flow import FlowKey
+from ..net.headers import unchecked
 from ..net.packet import Packet
 from ..tables.acl import AclTable, AclVerdict
 from ..tables.errors import MissingEntryError
@@ -38,6 +39,13 @@ class ForwardAction(Enum):
     UPLINK = "uplink"  # leaves the region (Internet / IDC / cross-region)
     DROP = "drop"
     BUFFERED = "buffered"  # parked in a MigrationBuffer during a freeze window
+
+
+#: The ``action_<action>`` counter of every outcome (dashes folded to
+#: underscores), named once here rather than by an f-string per packet.
+ACTION_COUNTERS = {
+    action: f"action_{action.value.replace('-', '_')}" for action in ForwardAction
+}
 
 
 class DropReason(Enum):
@@ -167,15 +175,19 @@ class GatewayTables:
     counters: CounterTable = field(default_factory=CounterTable)
 
 
+#: FlowKey has no __post_init__: every field is an int read off the packet.
+_flow_key = unchecked(FlowKey)
+
+
 def inner_flow_key(packet: Packet) -> FlowKey:
     """The inner 5-tuple as a :class:`FlowKey` (read from the header
     vector of a packet that kept its wire image, building no header)."""
     vector = packet._vector
     if vector is not None:
-        return FlowKey(vector[1], vector[2], vector[3], vector[4], vector[5],
-                       version=vector[6])
+        return _flow_key(vector[1], vector[2], vector[3], vector[4], vector[5],
+                         vector[6])
     src, dst, proto, sport, dport = packet.inner.five_tuple()
-    return FlowKey(src, dst, proto, sport, dport, version=packet.inner_version)
+    return _flow_key(src, dst, proto, sport, dport, packet.inner_version)
 
 
 def forward(

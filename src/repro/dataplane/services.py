@@ -6,7 +6,10 @@ This module implements both directions:
 
 * **request** (red arrow in Fig. 11): VM -> Internet. The VXLAN tunnel
   is removed, the inner source IP/port are rewritten to an allocated
-  public IP/port, and the packet leaves as plain IP.
+  public IP/port, and the packet leaves as plain IP. A burst's request
+  lanes are served in one :meth:`SnatService.serve_requests` call — a
+  stage of the x86 compiled program — and :meth:`SnatService.
+  handle_request` is its one-lane case.
 * **response** (blue arrow): Internet -> public IP. The session is found
   by reverse lookup, the original VM addressing restored, the packet
   re-encapsulated toward the VM's NC.
@@ -14,14 +17,14 @@ This module implements both directions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence
 
 from ..net.flow import FlowKey
-from ..net.headers import Ethernet, HeaderError
+from ..net.headers import Ethernet, unchecked
 from ..net.packet import InnerFrame, Packet
 from ..tables.errors import TableFullError
-from ..tables.snat import SnatSession, SnatTable
+from ..tables.snat import SnatTable
 from .gateway_logic import (
     DropReason,
     ForwardAction,
@@ -29,6 +32,18 @@ from .gateway_logic import (
     GatewayTables,
     inner_flow_key,
 )
+
+_UPLINK = ForwardAction.UPLINK
+_DROP = ForwardAction.DROP
+_NOT_VXLAN = DropReason.SNAT_NOT_VXLAN.value
+_V6_UNSUPPORTED = DropReason.SNAT_V6_UNSUPPORTED.value
+_POOL_EXHAUSTED = DropReason.SNAT_POOL_EXHAUSTED.value
+
+#: The request output is a plain packet (neither ``vxlan`` nor ``inner``,
+#: so ``Packet.__post_init__`` has nothing to check) and ForwardResult
+#: has no ``__post_init__``.
+_packet = unchecked(Packet)
+_result = unchecked(ForwardResult)
 
 
 @dataclass
@@ -51,28 +66,61 @@ class SnatService:
         self.responses = 0
         self.failures = 0
 
+    def serve_requests(self, packets: Sequence[Packet], lanes: Sequence[int],
+                       results: List[Optional[ForwardResult]],
+                       now: float = 0.0) -> Dict[str, int]:
+        """VM -> Internet for the request lanes of one burst: decap,
+        translate the source, emit plain IP.
+
+        Sets ``results[i]`` for every lane ``i`` in *lanes* (indices into
+        *packets*) and returns ``{drop detail: count}`` for the lanes it
+        dropped; every other lane is an UPLINK.
+        """
+        contexts = self._contexts
+        translate = self.snat.translate
+        drops: Dict[str, int] = {}
+        served = failures = 0
+        for i in lanes:
+            packet = packets[i]
+            detail = None
+            if not packet.is_vxlan:
+                detail = _NOT_VXLAN
+            else:
+                # One key per lane, shared by the translation and the
+                # context check.
+                flow = inner_flow_key(packet)
+                if flow.version != 4:
+                    detail = _V6_UNSUPPORTED
+                else:
+                    try:
+                        session = translate(flow, now)
+                    except TableFullError:
+                        failures += 1
+                        detail = _POOL_EXHAUSTED
+            if detail is not None:
+                drops[detail] = drops.get(detail, 0) + 1
+                results[i] = _result(_DROP, packet, detail, None, None)
+                continue
+            plain = packet.decap()
+            if flow not in contexts:
+                contexts[flow] = _SessionContext(vni=packet.vni, inner_eth=plain.eth)
+            l4 = plain.l4
+            if l4 is not None:
+                l4 = l4.replace_src_port(session.public_port)
+            out = _packet(plain.eth, plain.ip.replace_src(session.public_ip), l4,
+                          None, None, plain.payload)
+            results[i] = _result(_UPLINK, out, "snat-request", None, None)
+            served += 1
+        self.requests += served
+        self.failures += failures
+        return drops
+
     def handle_request(self, packet: Packet, now: float = 0.0) -> ForwardResult:
-        """VM -> Internet: decap, translate source, emit plain IP."""
-        if not packet.is_vxlan:
-            return ForwardResult(ForwardAction.DROP, packet, detail=DropReason.SNAT_NOT_VXLAN.value)
-        flow = inner_flow_key(packet)
-        if flow.version != 4:
-            return ForwardResult(ForwardAction.DROP, packet, detail=DropReason.SNAT_V6_UNSUPPORTED.value)
-        try:
-            session = self.snat.translate(flow, now)
-        except TableFullError:
-            self.failures += 1
-            return ForwardResult(ForwardAction.DROP, packet, detail=DropReason.SNAT_POOL_EXHAUSTED.value)
-        plain = packet.decap()
-        if flow not in self._contexts:
-            self._contexts[flow] = _SessionContext(vni=packet.vni, inner_eth=plain.eth)
-        plain = replace(
-            plain,
-            ip=plain.ip.replace_src(session.public_ip),
-            l4=plain.l4.replace_src_port(session.public_port) if plain.l4 is not None else None,
-        )
-        self.requests += 1
-        return ForwardResult(ForwardAction.UPLINK, plain, detail="snat-request")
+        """VM -> Internet for one packet: :meth:`serve_requests` over a
+        one-lane burst."""
+        results: List[Optional[ForwardResult]] = [None]
+        self.serve_requests((packet,), (0,), results, now)
+        return results[0]
 
     def handle_response(self, packet: Packet, now: float = 0.0) -> ForwardResult:
         """Internet -> VM: reverse-translate and re-encapsulate to the NC."""

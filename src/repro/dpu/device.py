@@ -33,17 +33,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+from ..dataplane.columnar import BatchCompiler
 from ..dataplane.gateway_logic import (
+    ACTION_COUNTERS,
     DropReason,
     ForwardAction,
     ForwardResult,
     GatewayTables,
     count_drop,
-    forward,
     inner_flow_key,
 )
 from ..net.addr import Prefix
 from ..net.flow import FlowKey
+from ..net.headers import unchecked
 from ..net.packet import Packet
 from ..tables.counter import CounterTable
 from ..tables.vm_nc import NcBinding
@@ -53,6 +55,11 @@ from ..workloads.flows import FlowSpec
 
 #: A VIP as the session table and audit see it: hashable, orderable.
 VipTuple = Tuple[int, int, int]  # (vni, dst_ip, version)
+
+_DROP = ForwardAction.DROP
+_NO_ROUTE = DropReason.NO_ROUTE.value
+_MISS = DropReason.DPU_TABLE_MISS.value
+_result = unchecked(ForwardResult)  # ForwardResult has no __post_init__
 
 
 @dataclass(frozen=True)
@@ -217,6 +224,11 @@ class DpuDevice:
         #: state is gone. Table state is re-derivable from intent, so it
         #: survives (and is withdrawn through normal transactions).
         self.failed = False
+        #: The compiled gateway program over the device's tables, entered
+        #: one lane per packet; compiled on the first forward and again
+        #: whenever the table generation vector moves.
+        self._compiler = BatchCompiler(self.tables, gateway_ip)
+        self._compiled = None
 
     # -- controller push interface (same shape as XgwX86) -------------------
 
@@ -256,31 +268,33 @@ class DpuDevice:
     # -- functional path ------------------------------------------------------
 
     def forward(self, packet: Packet, now: float = 0.0) -> ForwardResult:
-        """Run the shared gateway program over the device's (partial)
-        tables. Any packet the device holds no state for — no steering
-        route, failed device, or a full session table meeting a new
-        connection — is a ``dpu-table-miss``: dropped here, re-offered
+        """Run the compiled gateway program over the device's (partial)
+        tables, one lane. Any packet the device holds no state for — no
+        steering route, failed device, or a full session table meeting a
+        new connection — is a ``dpu-table-miss``: dropped here, re-offered
         to x86 by the caller (:meth:`XgwX86.forward_dpu_miss`)."""
-        self.counters.add("rx_packets")
+        counters = self.counters
+        counters.add("rx_packets")
         if self.failed:
-            result = ForwardResult(ForwardAction.DROP, packet,
-                                   detail=DropReason.DPU_TABLE_MISS.value)
+            result = _result(_DROP, packet, _MISS, None, None)
         else:
-            result = forward(self.tables, packet, self.gateway_ip, now)
-            if (result.action is ForwardAction.DROP
-                    and result.detail == DropReason.NO_ROUTE.value):
-                # The full tables would have resolved it; this device
-                # just doesn't hold the entry.
-                result = ForwardResult(ForwardAction.DROP, packet,
-                                       detail=DropReason.DPU_TABLE_MISS.value)
-            elif result.action is not ForwardAction.DROP and packet.is_vxlan:
-                vip = (packet.vni, packet.inner_dst, packet.inner_version)
-                if not self.sessions.ensure(inner_flow_key(packet), vip, now):
-                    result = ForwardResult(ForwardAction.DROP, packet,
-                                           detail=DropReason.DPU_TABLE_MISS.value)
-        self.counters.add(f"action_{result.action.value.replace('-', '_')}")
-        if result.action is ForwardAction.DROP:
-            count_drop(self.counters, result.detail)
+            program = self._compiled
+            if program is None or program.generations != self._compiler.generations():
+                program = self._compiled = self._compiler.compile()
+            result = program.forward(packet, now)
+            if result.action is _DROP:
+                if result.detail == _NO_ROUTE:
+                    # The full tables would have resolved it; this device
+                    # just doesn't hold the entry.
+                    result = _result(_DROP, packet, _MISS, None, None)
+            elif not self.sessions.ensure(
+                    inner_flow_key(packet),
+                    (packet.vni, packet.inner_dst, packet.inner_version), now):
+                # Only a VXLAN packet gets past the program undropped.
+                result = _result(_DROP, packet, _MISS, None, None)
+        counters.add(ACTION_COUNTERS[result.action])
+        if result.action is _DROP:
+            count_drop(counters, result.detail)
         return result
 
     # -- rate model (what the offload loop drives) ----------------------------

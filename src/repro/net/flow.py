@@ -25,7 +25,7 @@ MSFT_RSS_KEY = bytes(
 )
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class FlowKey:
     """A transport 5-tuple identifying a flow."""
 

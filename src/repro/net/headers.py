@@ -250,7 +250,7 @@ class UDP:
         return hdr, raw[off:]
 
     def replace_src_port(self, port: int) -> "UDP":
-        return UDP(port, self.dst_port, 0, 0)
+        return _udp(port, self.dst_port, 0, 0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -284,7 +284,7 @@ class TCP:
         return hdr, raw[off:]
 
     def replace_src_port(self, port: int) -> "TCP":
-        return TCP(port, self.dst_port, self.seq, self.ack, self.flags, self.window, 0)
+        return _tcp(port, self.dst_port, self.seq, self.ack, self.flags, self.window, 0)
 
 
 @dataclass(frozen=True, slots=True)

@@ -22,6 +22,7 @@ from ..dataplane.flowcache import (
     forward_cached_batch,
 )
 from ..dataplane.gateway_logic import (
+    ACTION_COUNTERS,
     DropReason,
     ForwardAction,
     ForwardResult,
@@ -135,11 +136,12 @@ class XgwX86:
         self._published_cache_counters: Dict[str, int] = {}
         #: The columnar batch path (DESIGN §13): ``forward_batch`` compiles
         #: the placed program once per table-generation vector and executes
-        #: it over struct-of-arrays bursts. ``columnar=False`` keeps the
-        #: flow-cache per-packet batch loop (the differential oracle's
-        #: shape, and the path cache-telemetry consumers rely on).
+        #: it over struct-of-arrays bursts, SNAT requests included as a
+        #: stage. ``columnar=False`` keeps the flow-cache per-packet batch
+        #: loop (the differential oracle's shape, and the path
+        #: cache-telemetry consumers rely on).
         self._batch_compiler: Optional[BatchCompiler] = (
-            BatchCompiler(self.tables, gateway_ip, watch_snat=snat is not None)
+            BatchCompiler(self.tables, gateway_ip, snat=self.snat_service)
             if columnar else None
         )
         self._compiled = None
@@ -168,7 +170,7 @@ class XgwX86:
             ):
                 # We *are* the software gateway: run the service locally.
                 result = self.snat_service.handle_request(packet, now)
-        self.counters.add(f"action_{result.action.value.replace('-', '_')}")
+        self.counters.add(ACTION_COUNTERS[result.action])
         if result.action is ForwardAction.DROP:
             count_drop(self.counters, result.detail)
         return result
@@ -227,14 +229,16 @@ class XgwX86:
                 append(result)
         self.counters.add("rx_packets", len(results))
         for action, count in actions.items():
-            self.counters.add(f"action_{action.value.replace('-', '_')}", count)
+            self.counters.add(ACTION_COUNTERS[action], count)
         count_drops(self.counters, drop_details)
         return results
 
     def _forward_batch_columnar(self, packets, now: float) -> List[ForwardResult]:
         """The compiled batch path: recompile on a generation-vector
         change (same staleness rule as the flow cache), execute over the
-        struct-of-arrays burst, then settle counters in one flush."""
+        struct-of-arrays burst — we *are* the software gateway, so SNAT
+        requests are served by a stage of the program — then settle
+        counters in one flush."""
         compiler = self._batch_compiler
         program = self._compiled
         if program is None or program.generations != compiler.generations():
@@ -242,29 +246,11 @@ class XgwX86:
         batch = (packets if isinstance(packets, PacketBatch)
                  else PacketBatch.from_packets(packets))
         results, tally = program.execute(batch, now)
-        actions = tally.actions
-        drop_details = tally.drop_details
-        snat_service = self.snat_service
-        if snat_service is not None and tally.snat_lanes:
-            # We *are* the software gateway: run the SNAT service on the
-            # admitted redirect lanes, re-attributing their tallies.
-            redirect = ForwardAction.REDIRECT_X86
-            drop = ForwardAction.DROP
-            batch_packets = batch.packets
-            for i in tally.snat_lanes:
-                result = snat_service.handle_request(batch_packets[i], now)
-                results[i] = result
-                actions[redirect] -= 1
-                action = result.action
-                actions[action] = actions.get(action, 0) + 1
-                if action is drop:
-                    drop_details[result.detail] = drop_details.get(result.detail, 0) + 1
         add = self.counters.add
         add("rx_packets", batch.n)
-        for action, count in actions.items():
-            if count:
-                add(f"action_{action.value.replace('-', '_')}", count)
-        count_drops(self.counters, drop_details)
+        for action, count in tally.actions.items():
+            add(ACTION_COUNTERS[action], count)
+        count_drops(self.counters, tally.drop_details)
         return results
 
     def forward_dpu_miss(self, packet: Packet, now: float = 0.0) -> ForwardResult:
@@ -285,7 +271,7 @@ class XgwX86:
                                  detail=DropReason.NO_SNAT.value)
         self.counters.add("rx_packets")
         result = self.snat_service.handle_response(packet, now)
-        self.counters.add(f"action_{result.action.value.replace('-', '_')}")
+        self.counters.add(ACTION_COUNTERS[result.action])
         if result.action is ForwardAction.DROP:
             count_drop(self.counters, result.detail)
         return result

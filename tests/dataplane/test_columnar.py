@@ -355,13 +355,6 @@ class TestXgwHColumnarDifferential:
         assert (t_col.meters.green, t_col.meters.yellow, t_col.meters.red) \
             == (t_ora.meters.green, t_ora.meters.yellow, t_ora.meters.red)
 
-    def test_unfolded_chip_falls_back_to_per_packet(self, backend_name):
-        gw = XgwH(gateway_ip=GW_H_IP, folded=False)
-        assert gw._batch_compiler is None
-        results = gw.forward_batch([plain_packet()])
-        assert results[0].action is ForwardAction.DROP
-        assert gw.stats.packets == 1
-
 
 # -- the wire image through the forwarding paths -------------------------------
 
@@ -509,16 +502,13 @@ class TestForwardBatchAcceptsAPacketBatch:
         buffered = [r for r in outcomes[0][0] if r.action is ForwardAction.BUFFERED]
         assert bool(buffered) == frozen
 
-    @pytest.mark.parametrize("folded, frozen", [(True, True), (False, False)],
-                             ids=["frozen", "unfolded"])
-    def test_xgw_h_per_packet_fallback(self, folded, frozen):
+    @pytest.mark.parametrize("frozen", [True], ids=["frozen"])
+    def test_xgw_h_per_packet_fallback(self, frozen):
         frames = wire_frames(seed=7, n=32)
         local = next(p for p in map(Packet.from_bytes, frames) if p.vni == 100)
-        if not folded:  # no loopback pipe holds VM-NC: keep the keys that never reach it
-            frames = [f for f in frames if Packet.from_bytes(f).vni not in (100, 101)]
         outcomes = []
         for shred in (list, PacketBatch.from_packets):
-            gw = XgwH(gateway_ip=GW_H_IP, tables=wire_tables(), folded=folded)
+            gw = XgwH(gateway_ip=GW_H_IP, tables=wire_tables())
             for h in range(1, 7):
                 gw.install_vm(100, ip(f"192.168.0.{h}"), 4, NcBinding(ip(f"10.2.0.{h}")))
             if frozen:

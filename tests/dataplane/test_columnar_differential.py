@@ -5,12 +5,16 @@ hypothesis drives randomized interleavings of forwards, batch-flush
 boundaries and routing/VM/ACL/meter mutations against two identical
 table sets — one forwarded in columnar bursts through
 :class:`~repro.dataplane.columnar.BatchCompiler`-compiled programs, one
-walked packet-by-packet through the never-cached scalar program. Every
-burst must produce byte-identical :class:`ForwardResult`s, and at the
-end of the interleaving the gateway counter sets (including every
-per-reason ``drop_*`` counter), the tenant counter table, the ACL
-telemetry and the meter color tallies must all agree exactly. Both
-columnar backends (numpy and pure-python) run the same interleavings.
+walked packet-by-packet through the never-cached scalar program. Both
+sides serve SNAT from a small session table, so SERVICE/``snat`` routes
+exercise the program's SNAT stage (translation, pool exhaustion, IPv6
+refusal) against per-packet ``handle_request``. Every burst must produce
+byte-identical :class:`ForwardResult`s, and at the end of the
+interleaving the gateway counter sets (including every per-reason
+``drop_*`` counter), the tenant counter table, the ACL telemetry, the
+meter color tallies and the SNAT sessions, contexts and request/failure
+counts must all agree exactly. Both columnar backends (numpy and
+pure-python) run the same interleavings, half the packets as wire images.
 """
 
 import ipaddress
@@ -27,6 +31,7 @@ from repro.net.packet import Packet
 from repro.tables.acl import AclRule, AclVerdict
 from repro.tables.errors import TableError
 from repro.tables.meter import TokenBucket
+from repro.tables.snat import SnatTable
 from repro.tables.vm_nc import NcBinding
 from repro.tables.vxlan_routing import RouteAction, Scope
 from repro.workloads.traffic import build_vxlan_packet
@@ -41,11 +46,14 @@ def ip(text):
 
 
 HOSTS = [ip(f"192.168.{net}.{h}") for net in (0, 1) for h in (1, 2, 3)]
+HOSTS6 = [ip(f"fd00::{h}") for h in (1, 2)]
 NC_IPS = [ip(f"10.1.1.{h}") for h in range(1, 7)]
 PREFIXES = [Prefix.parse(p) for p in (
     "192.168.0.0/24", "192.168.1.0/24", "192.168.0.0/16",
-    "192.168.0.1/32", "192.168.1.2/32", "0.0.0.0/0",
+    "192.168.0.1/32", "192.168.1.2/32", "0.0.0.0/0", "::/0",
 )]
+#: Sessions one SNAT table holds: small, so bursts meet pool exhaustion.
+SNAT_SESSIONS = 4
 #: (committed_burst,) presets small enough that bursts mix GREEN and RED.
 METER_BURSTS = [150.0, 400.0, 5000.0]
 
@@ -59,6 +67,7 @@ route_actions = st.one_of(
     st.just(RouteAction(Scope.LOCAL)),
     vnis.map(lambda v: RouteAction(Scope.PEER, next_hop_vni=v)),
     st.just(RouteAction(Scope.SERVICE, target="snat")),
+    st.just(RouteAction(Scope.SERVICE, target="lb")),
     st.just(RouteAction(Scope.IDC, target="cen-1")),
     st.just(RouteAction(Scope.INTERNET)),
 )
@@ -82,7 +91,8 @@ acl_rules = st.builds(
 )
 
 ops = st.one_of(
-    st.tuples(st.just("forward"), vnis, hosts, hosts, dports),
+    st.tuples(st.just("forward"), vnis, hosts, hosts, dports, st.booleans()),
+    st.tuples(st.just("forward6"), vnis, st.sampled_from(HOSTS6), st.booleans()),
     st.tuples(st.just("plain"), hosts, hosts),
     st.tuples(st.just("flush")),
     st.tuples(st.just("route+"), vnis, prefixes, route_actions),
@@ -164,8 +174,11 @@ def test_columnar_batches_match_scalar_oracle(backend_name, op_list):
     backend = resolve_backend(backend_name)
     col_tables = GatewayTables()
     oracle_tables = GatewayTables()
-    col_gw = XgwX86(gateway_ip=GATEWAY_IP, tables=col_tables)
+    public_ips = [ip("203.0.113.1")]
+    col_gw = XgwX86(gateway_ip=GATEWAY_IP, tables=col_tables,
+                    snat=SnatTable(public_ips, capacity_sessions=SNAT_SESSIONS))
     oracle_gw = XgwX86(gateway_ip=GATEWAY_IP, tables=oracle_tables,
+                       snat=SnatTable(public_ips, capacity_sessions=SNAT_SESSIONS),
                        cache_entries=0, columnar=False)
     assert col_gw._batch_compiler is not None
     pending = []
@@ -174,8 +187,13 @@ def test_columnar_batches_match_scalar_oracle(backend_name, op_list):
         now += 0.001
         kind = op[0]
         if kind == "forward":
-            pending.append(build_vxlan_packet(vni=op[1], src_ip=op[2],
-                                              dst_ip=op[3], dst_port=op[4]))
+            packet = build_vxlan_packet(vni=op[1], src_ip=op[2], dst_ip=op[3],
+                                        dst_port=op[4])
+            pending.append(Packet.from_bytes(packet.to_bytes()) if op[5] else packet)
+        elif kind == "forward6":
+            packet = build_vxlan_packet(vni=op[1], src_ip=HOSTS6[0], dst_ip=op[2],
+                                        version=6)
+            pending.append(Packet.from_bytes(packet.to_bytes()) if op[3] else packet)
         elif kind == "plain":
             pending.append(build_plain_packet(op[1], op[2]))
         elif kind == "flush":
@@ -203,3 +221,13 @@ def test_columnar_batches_match_scalar_oracle(backend_name, op_list):
              col_tables.meters.red)
             == (oracle_tables.meters.green, oracle_tables.meters.yellow,
                 oracle_tables.meters.red))
+    col_snat, oracle_snat = col_gw.snat_service, oracle_gw.snat_service
+    assert ([(flow, s.public_ip, s.public_port, s.last_active)
+             for flow, s in col_snat.snat.items()]
+            == [(flow, s.public_ip, s.public_port, s.last_active)
+                for flow, s in oracle_snat.snat.items()])
+    assert ({flow: (c.vni, c.inner_eth) for flow, c in col_snat._contexts.items()}
+            == {flow: (c.vni, c.inner_eth)
+                for flow, c in oracle_snat._contexts.items()})
+    assert ((col_snat.requests, col_snat.failures)
+            == (oracle_snat.requests, oracle_snat.failures))
