@@ -328,10 +328,18 @@ class Controller:
 
     def snapshot(self) -> None:
         """Checkpoint the intent store into the journal (prunes covered
-        segments); recovery then replays snapshot + tail."""
+        segments); recovery then replays snapshot + tail.
+
+        The first checkpoint is taken from the intent store — O(table),
+        once. Every later one folds the journal's verified tail into it
+        (:meth:`~repro.core.journal.Journal.compact`), O(tail): equal to
+        the intent by the journal-equivalence invariant."""
         if self.journal is None:
             raise TableError("controller has no journal to snapshot into")
-        self.journal.snapshot(self._intent_state())
+        if self.journal.snapshot_seq < 0:
+            self.journal.snapshot(self._intent_state())
+        else:
+            self.journal.compact()
         self.counters.add("journal_snapshots")
 
     def _intent_state(self) -> dict:

@@ -19,8 +19,10 @@ Three durability mechanisms, mirroring production WAL designs:
   KiB) so pruning after a snapshot is O(segments), not O(records).
 * **Snapshots** — :meth:`Journal.snapshot` captures the materialised
   intent at the current sequence number and prunes every segment wholly
-  covered by it; recovery replays snapshot + tail, which is equivalent
-  to replaying from genesis (tested invariant).
+  covered by it; :meth:`Journal.compact` then folds only the verified
+  tail into that keyed checkpoint, so later checkpoints cost O(tail).
+  Recovery replays snapshot + tail, which is equivalent to replaying
+  from genesis (tested invariant).
 
 Replay is deterministic and idempotent: records are upserts/deletes
 over the intent store, so replaying a tail twice — or replaying on top
@@ -31,9 +33,11 @@ state.
 from __future__ import annotations
 
 import json
+import marshal
 import zlib
+from collections.abc import MutableMapping
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..net.addr import Prefix
 from ..tables.vm_nc import NcBinding
@@ -58,10 +62,15 @@ class ControllerCrash(RuntimeError):
     """
 
 
+#: ``json.dumps(payload, sort_keys=True, separators=(",", ":"))`` without
+#: building an encoder per call.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def canonical_json(payload: dict) -> str:
     """The one true serialisation — sorted keys, no whitespace — so the
     same intent always produces the same bytes (byte-identical replays)."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return _CANONICAL.encode(payload)
 
 
 @dataclass(frozen=True)
@@ -208,8 +217,238 @@ def _apply(state: dict, record: JournalRecord) -> None:
     elif op == "remove-vm":
         state["vms"].get(p["cluster"], {}).pop(
             vm_key(p["vni"], p["vm_ip"], p["vm_version"]), None)
+    elif op == "txn-commit":
+        # Reached only through `_committed`, after the txn's staged ops.
+        state["version"] += 1
     else:
         raise JournalError(f"unknown journal op {op!r} at seq {record.seq}")
+
+
+def _committed(records: Iterable[JournalRecord]) -> Iterator[JournalRecord]:
+    """The commit-marker staging every replay shares: the records whose
+    effect reaches the intent store, in the order `_apply` takes them.
+
+    A ``txn`` record's staged ops come out only when its ``txn-commit``
+    marker does, followed by the marker itself (one version bump);
+    aborted or unterminated (crashed mid-push) transactions and the
+    cross-shard markers yield nothing.
+    """
+    staged: Dict[int, JournalRecord] = {}
+    for record in records:
+        op = record.op
+        if op == "txn":
+            staged[record.seq] = record
+        elif op == "txn-commit":
+            txn = staged.pop(record.payload["txn_seq"], None)
+            if txn is None:
+                raise JournalError(
+                    f"txn-commit at seq {record.seq} references unknown "
+                    f"txn {record.payload['txn_seq']}")
+            for op_payload in txn.payload["ops"]:
+                yield JournalRecord(txn.seq, op_payload["op"], op_payload)
+            yield record
+        elif op == "txn-abort":
+            staged.pop(record.payload["txn_seq"], None)
+        elif op not in Journal.XTXN_OPS:
+            # Cross-shard protocol markers carry no intent of their own.
+            yield record
+
+
+# -- the keyed checkpoint ---------------------------------------------------
+#
+# A snapshot is held keyed rather than as one text: per section and
+# cluster a map from entry key to the entry's canonical value text, per
+# tenant its canonical text, and the version. The canonical snapshot
+# text is derived — rendered in sorted order only when something reads
+# it — and its length is kept as the fold goes, so sizing it never
+# renders.
+
+#: The keyed entry sections of an intent store.
+_SECTIONS = ("routes", "vms")
+
+
+def _json_safe(text: str) -> bool:
+    """True when ``json.dumps(text)`` is *text* in quotes: printable
+    ASCII without ``"`` or ``\\`` — every route key, VM key and VNI."""
+    return (text.isascii() and text.isprintable()
+            and '"' not in text and "\\" not in text)
+
+
+def _quote(key: str) -> str:
+    """*key* as a JSON string."""
+    return f'"{key}"' if _json_safe(key) else json.dumps(key)
+
+
+def _render(entries: Dict[str, str]) -> str:
+    """One keyed map as canonical JSON (its values are already texts)."""
+    keys = sorted(entries)
+    if not _json_safe("".join(keys)):
+        return "{" + ",".join(f"{json.dumps(key)}:{entries[key]}" for key in keys) + "}"
+    # `,"key":value` per entry, laid out by slice assignment, joined once.
+    parts = [',"', None, '":', None] * len(keys)
+    parts[1::4] = keys
+    parts[3::4] = map(entries.__getitem__, keys)
+    return "{" + "".join(parts)[1:] + "}"
+
+
+def _weight(entries: Dict[str, str]) -> int:
+    """The rendered size of *entries*' items: Σ len('"key":value,')."""
+    keys = "".join(entries)
+    quoted = (len(keys) + 2 * len(entries) if _json_safe(keys)
+              else sum(len(json.dumps(key)) for key in entries))
+    return quoted + sum(map(len, entries.values())) + 2 * len(entries)
+
+
+class _Overlay(MutableMapping):
+    """A write buffer over one checkpoint map while a tail is folded.
+
+    Reads see the map with the buffered writes on top, so `_apply` runs
+    on it unchanged; nothing reaches the map before :meth:`commit`, so
+    a fold that fails half way leaves the checkpoint whole, and a key
+    installed and removed inside one tail is never rendered.
+    """
+
+    def __init__(self, held: Dict[str, str]):
+        self.held = held
+        self.writes: dict = {}
+        self.gone: set = set()
+
+    def __getitem__(self, key):
+        if key in self.writes:
+            return self.writes[key]
+        if key in self.gone:
+            raise KeyError(key)
+        return self.held[key]
+
+    def __setitem__(self, key, value):
+        self.writes[key] = value
+
+    def __delitem__(self, key):
+        self[key]  # absent keys raise KeyError, as a dict does
+        self.writes.pop(key, None)
+        if key in self.held:
+            self.gone.add(key)
+
+    def __iter__(self):
+        yield from self.writes
+        for key in self.held:
+            if key not in self.gone and key not in self.writes:
+                yield key
+
+    def __len__(self):
+        return sum(1 for _ in self)
+
+    def commit(self, render: Callable[[object], str]) -> int:
+        """Write the buffer into the held map, rendering the surviving
+        writes; returns the change in the map's rendered size."""
+        held, delta = self.held, 0
+        for key in self.gone - self.writes.keys():
+            delta -= len(_quote(key)) + len(held.pop(key)) + 2
+        for key, value in self.writes.items():
+            text = render(value)
+            old = held.get(key)
+            if old is not None:
+                delta += len(text) - len(old)
+            else:
+                delta += len(_quote(key)) + len(text) + 2
+            held[key] = text
+        return delta
+
+
+class _Checkpoint:
+    """A snapshot held keyed (see above), with its rendered ``size``."""
+
+    def __init__(self) -> None:
+        self.sections: Dict[str, Dict[str, Dict[str, str]]] = {
+            section: {} for section in _SECTIONS}
+        self.tenants: Dict[str, str] = {}
+        self.version = 0
+        #: One shared text per distinct value (a shard has a few hundred
+        #: action and binding values across its whole table).
+        self._texts: Dict[bytes, str] = {}
+        #: Rendered size of every entry and tenant item, kept by the fold.
+        self.weight = 0
+        self._resize()
+
+    @classmethod
+    def of(cls, state: dict) -> "_Checkpoint":
+        """The checkpoint of an intent store, one text per distinct value."""
+        checkpoint = cls()
+        text = checkpoint.value_text
+        for section in _SECTIONS:
+            checkpoint.sections[section] = {
+                cluster_id: {key: text(value) for key, value in entries.items()}
+                for cluster_id, entries in state[section].items()}
+        checkpoint.tenants = {vni: canonical_json(tenant)
+                              for vni, tenant in state["tenants"].items()}
+        checkpoint.version = state["version"]
+        checkpoint.weight = _weight(checkpoint.tenants) + sum(
+            _weight(entries) for section in checkpoint.sections.values()
+            for entries in section.values())
+        checkpoint._resize()
+        return checkpoint
+
+    def value_text(self, value) -> str:
+        """*value*'s canonical JSON, one shared text per distinct value.
+
+        The memo key is the value's marshal image: built in C and exact
+        about types, so ``1``, ``1.0`` and ``True`` never share a text
+        (equal images decode to the same value, hence the same JSON)."""
+        try:
+            key = marshal.dumps(value)
+        except ValueError:  # not marshallable: no sharing
+            return canonical_json(value)
+        text = self._texts.get(key)
+        if text is None:
+            text = self._texts[key] = canonical_json(value)
+        return text
+
+    def fold(self, records: Iterable[JournalRecord]) -> None:
+        """Apply committed *records* with `_apply`'s semantics; only the
+        keys they leave present are rendered. Atomic: a record that
+        raises leaves the checkpoint as it was."""
+        state: dict = {section: {cluster_id: _Overlay(entries)
+                                 for cluster_id, entries in held.items()}
+                       for section, held in self.sections.items()}
+        state["tenants"] = _Overlay(self.tenants)
+        state["version"] = self.version
+        for record in records:
+            _apply(state, record)
+        for section in _SECTIONS:
+            held = self.sections[section]
+            for cluster_id, entries in state[section].items():
+                if not isinstance(entries, _Overlay):
+                    # A cluster the tail created: `_apply`'s setdefault
+                    # put a plain dict there; it stays even if emptied.
+                    created, entries = entries, _Overlay(held.setdefault(cluster_id, {}))
+                    entries.update(created)
+                self.weight += entries.commit(self.value_text)
+        self.weight += state["tenants"].commit(canonical_json)
+        self.version = state["version"]
+        self._resize()
+
+    def _resize(self) -> None:
+        """Recompute ``size`` from ``weight``: O(clusters), not O(table).
+        Drops value texts no live entry can still be using."""
+        size = 40 + len(json.dumps(self.version)) + 1 + (not self.tenants)
+        entries = 0
+        for section in self.sections.values():
+            size += 1 + (not section)
+            for cluster_id, held in section.items():
+                size += len(_quote(cluster_id)) + 3 + (not held)
+                entries += len(held)
+        self.size = size + self.weight
+        if len(self._texts) > entries:
+            self._texts.clear()
+
+    def text(self) -> str:
+        """The canonical JSON of the intent store, rendered now."""
+        routes, vms = (
+            "{" + ",".join(f"{_quote(cluster_id)}:{_render(section[cluster_id])}"
+                           for cluster_id in sorted(section)) + "}"
+            for section in (self.sections["routes"], self.sections["vms"]))
+        return (f'{{"routes":{routes},"tenants":{_render(self.tenants)},'
+                f'"version":{json.dumps(self.version)},"vms":{vms}}}')
 
 
 class Journal:
@@ -241,10 +480,10 @@ class Journal:
         self.segments: List[Segment] = [Segment(0)]
         self.next_seq = 0
         self.snapshot_seq = -1
-        #: The latest snapshot as its canonical JSON text: immutable, so
-        #: holding the text *is* holding a deep copy, and every reader
-        #: (`materialize`, `dump`, `snapshot_bytes`) starts from it.
-        self._snapshot_text: Optional[str] = None
+        #: The latest snapshot, keyed (None before the first one). Its
+        #: texts are immutable, so holding them *is* holding a deep copy;
+        #: every reader renders or sizes it, none can alias it.
+        self._checkpoint: Optional[_Checkpoint] = None
         self.appends = 0
         self.rotations = 0
         self.snapshots = 0
@@ -272,8 +511,30 @@ class Journal:
     def snapshot(self, state: dict) -> None:
         """Record the materialised intent at the current seq and prune
         every segment wholly covered by it (snapshot + tail stays
-        equivalent to a genesis replay)."""
-        self._snapshot_text = canonical_json(state)
+        equivalent to a genesis replay). O(table)."""
+        self._checkpoint = _Checkpoint.of(state)
+        self._prune()
+
+    def compact(self) -> None:
+        """Fold the tail into the checkpoint and prune like
+        :meth:`snapshot` — O(tail), whatever the table size.
+
+        The tail is decoded once with every checksum verified, staged
+        exactly as :meth:`materialize` stages it, and applied with its
+        semantics; only keys still present at the end are rendered.
+        Before the first checkpoint the fold starts from genesis. A
+        corrupt record raises :class:`JournalCorruption` and an unknown
+        op :class:`JournalError`, leaving the journal untouched.
+        """
+        records = self.records()
+        checkpoint = self._checkpoint or _Checkpoint()
+        checkpoint.fold(_committed(records))
+        self._checkpoint = checkpoint
+        self._prune()
+
+    def _prune(self) -> None:
+        """Move the snapshot floor to the current seq and drop every
+        segment wholly below it."""
         self.snapshot_seq = self.next_seq - 1
         kept = [s for s in self.segments if s.last_seq > self.snapshot_seq]
         if not kept:
@@ -291,9 +552,9 @@ class Journal:
     def snapshot_state(self) -> Optional[dict]:
         """The latest snapshot decoded into a fresh intent store (None
         before the first one); mutating it never touches the journal."""
-        if self._snapshot_text is None:
+        if self._checkpoint is None:
             return None
-        return json.loads(self._snapshot_text)
+        return json.loads(self._checkpoint.text())
 
     def records(self, after_seq: Optional[int] = None) -> List[JournalRecord]:
         """Decode the records with ``seq > after_seq`` (default: the tail
@@ -317,30 +578,10 @@ class Journal:
         state = self.snapshot_state
         if state is None:
             state = empty_state()
-        staged: Dict[int, JournalRecord] = {}
-        replayed = 0
-        for record in self.records():
-            replayed += 1
-            if record.op == "txn":
-                staged[record.seq] = record
-            elif record.op == "txn-commit":
-                txn = staged.pop(record.payload["txn_seq"], None)
-                if txn is None:
-                    raise JournalError(
-                        f"txn-commit at seq {record.seq} references unknown "
-                        f"txn {record.payload['txn_seq']}")
-                for op_payload in txn.payload["ops"]:
-                    _apply(state, JournalRecord(txn.seq, op_payload["op"],
-                                                op_payload))
-                state["version"] += 1
-            elif record.op == "txn-abort":
-                staged.pop(record.payload["txn_seq"], None)
-            elif record.op in self.XTXN_OPS:
-                # Cross-shard protocol markers: no intent of their own.
-                continue
-            else:
-                _apply(state, record)
-        self.last_replay_records = replayed
+        records = self.records()
+        for record in _committed(records):
+            _apply(state, record)
+        self.last_replay_records = len(records)
         return state
 
     def verify(self) -> int:
@@ -393,9 +634,10 @@ class Journal:
     @property
     def snapshot_bytes(self) -> int:
         """Canonical size of the latest snapshot (0 before the first one)
-        — the bytes a snapshot "covers" in place of pruned segments."""
-        # The held text is ASCII (canonical_json escapes), so chars == bytes.
-        return len(self._snapshot_text or "")
+        — the bytes a snapshot "covers" in place of pruned segments.
+        O(1): the checkpoint keeps its rendered length as it folds."""
+        # The rendered text is ASCII (canonical_json escapes), so chars == bytes.
+        return self._checkpoint.size if self._checkpoint is not None else 0
 
     def telemetry(self) -> dict:
         """The compaction counters an operator (or the shard bench)
@@ -465,7 +707,8 @@ class Journal:
         """Serialise the whole journal to canonical bytes — equal seeds
         and equal operation sequences produce equal dumps."""
         out = bytearray()
-        header = f"SNAP|{self.snapshot_seq}|{self._snapshot_text or ''}"
+        text = self._checkpoint.text() if self._checkpoint is not None else ""
+        header = f"SNAP|{self.snapshot_seq}|{text}"
         crc = zlib.crc32(header.encode("utf-8")) & 0xFFFFFFFF
         out += f"{header}|{crc:08x}\n".encode("utf-8")
         for segment in self.segments:
@@ -493,10 +736,14 @@ class Journal:
         _tag, seq_text, snap_text = body.split("|", 2)
         journal.snapshot_seq = int(seq_text)
         if snap_text:
-            # Re-canonicalised, so whatever wrote the bytes, `dump` and
+            # Re-keyed, so whatever wrote the bytes, `dump` and
             # `snapshot_bytes` see canonical text; a malformed snapshot
             # fails here rather than at the first `materialize`.
-            journal._snapshot_text = canonical_json(json.loads(snap_text))
+            state = json.loads(snap_text)
+            try:
+                journal._checkpoint = _Checkpoint.of(state)
+            except (AttributeError, KeyError, TypeError) as exc:
+                raise JournalCorruption("SNAP header is not an intent store") from exc
         segment: Optional[Segment] = None
         top_seq = journal.snapshot_seq
         for raw in lines[1:]:

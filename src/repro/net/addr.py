@@ -180,6 +180,23 @@ class Prefix:
 
     @classmethod
     def parse(cls, text: str) -> "Prefix":
+        # Canonical IPv4 text (what ``str(prefix)`` writes and journal
+        # keys hold) is read with ints. Anything that does not round-trip
+        # exactly — IPv6, leading zeros, netmask forms, host bits — goes
+        # to ``ipaddress`` unchanged, so accepts and errors stay its own.
+        try:
+            addr, _, length = text.partition("/")
+            a, b, c, d = map(int, addr.split("."))
+            n = int(length)
+        except (AttributeError, TypeError, ValueError):  # not text, or not this form
+            pass
+        else:
+            # The round trip leaves only plain decimal numbers or a sign.
+            network = a << 24 | b << 16 | c << 8 | d
+            if (f"{a}.{b}.{c}.{d}/{n}" == text and "-" not in text
+                    and a | b | c | d <= 255 and n <= 32
+                    and not network & (_V4_MAX >> n)):
+                return cls(network, n, 4)
         net = ipaddress.ip_network(text, strict=True)
         return cls(int(net.network_address), net.prefixlen, net.version)
 

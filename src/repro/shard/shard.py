@@ -72,8 +72,9 @@ class ControllerShard:
     # -- durability ---------------------------------------------------------
 
     def snapshot(self) -> None:
-        """Checkpoint this shard's intent and prune its covered segments
-        — an O(shard) pause, never an O(region) one."""
+        """Checkpoint this shard and prune its covered segments — the
+        first checkpoint is an O(shard) pause, every later one folds only
+        the journal tail; never an O(region) one."""
         self.controller.snapshot()
 
     def telemetry(self) -> dict:

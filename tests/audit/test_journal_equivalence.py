@@ -1,13 +1,15 @@
 """Property test: after any randomized interleaving of route/VM
-mutations, transactions, snapshots, and a controller crash, the live
-controller's ``intent_snapshot()`` and the journal's ``materialize()``
-are the same state — and the same seed replays to a byte-identical
-journal."""
+mutations, tenant onboarding and offboarding, committed and aborted
+transactions, snapshots, and a controller crash, the live controller's
+``intent_snapshot()`` and the journal's ``materialize()`` are the same
+state — and the same seed replays to a byte-identical journal. Every
+snapshot after the first folds the journal tail into the checkpoint,
+so each one is checked against the intent it must equal."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tests.audit.helpers import ip, make_controller, onboard_region
+from tests.audit.helpers import ip, make_controller, onboard_region, rich_tenant
 
 from repro.audit import IntentSnapshot, diff_snapshots
 from repro.core.controller import (
@@ -16,23 +18,42 @@ from repro.core.controller import (
     TransactionAborted,
     VmEntry,
 )
-from repro.core.journal import ControllerCrash, canonical_json
+from repro.core.journal import ControllerCrash, Journal, canonical_json
 from repro.core.splitting import ClusterCapacity, TableSplitter
 from repro.cluster.ecmp import VniSteeredBalancer
 from repro.faults import FaultInjector, FaultKind, FaultPlan, FaultSpec
 from repro.net.addr import Prefix
+from repro.tables.errors import TableError
 from repro.tables.vm_nc import NcBinding
 from repro.tables.vxlan_routing import RouteAction, Scope
 
 #: Abstract op alphabet; indices are resolved against live desired state
 #: so every drawn sequence is applicable.
 OPS = ["install_route", "remove_route", "install_vm", "remove_vm",
-       "txn_routes", "snapshot"]
+       "txn_routes", "txn_aborted", "add_tenant", "remove_tenant", "snapshot"]
 
 op_sequences = st.lists(
     st.tuples(st.sampled_from(OPS), st.integers(min_value=0, max_value=7)),
     min_size=0, max_size=12,
 )
+
+
+def assert_checkpoint_is_intent(ctrl):
+    """Right after ``ctrl.snapshot()``: the journal's checkpoint text is
+    the canonical intent, survives dump/load, and is sized without a
+    render."""
+    journal = ctrl.journal
+    dump = journal.dump()
+    header = dump.split(b"\n", 1)[0].decode()
+    text = header.split("|", 2)[2].rsplit("|", 1)[0]
+    assert text == canonical_json(ctrl.intent_snapshot())
+    assert text == canonical_json(journal.materialize())
+    assert Journal.load(dump).dump() == dump
+    assert journal.snapshot_bytes == len(text)
+
+
+def _refuse():
+    raise TableError("side effect refused")
 
 
 def apply_ops(ctrl, cluster_id, ops):
@@ -71,8 +92,29 @@ def apply_ops(ctrl, cluster_id, ops):
                     txn.install_route(RouteEntry(
                         100, Prefix.parse(f"10.20{serial % 10}.{j}.0/24"),
                         RouteAction(Scope.LOCAL)))
+        elif kind == "txn_aborted":
+            # Journalled as txn + txn-abort: replay and fold skip it.
+            try:
+                with ctrl.transaction(cluster_id) as txn:
+                    txn.install_route(RouteEntry(
+                        100, Prefix.parse(f"10.30.{idx}.0/24"),
+                        RouteAction(Scope.LOCAL)))
+                    txn.stage_side_effect("refused", _refuse, lambda: None)
+            except TransactionAborted:
+                pass
+        elif kind == "add_tenant":
+            vni = 200 + idx
+            if vni not in ctrl.plan.assignments:
+                ctrl.add_tenant(*rich_tenant(
+                    vni, f"172.{16 + idx}.0.0/16", f"172.{16 + idx}.0.2",
+                    "10.1.3.11"))
+        elif kind == "remove_tenant":
+            removable = sorted(v for v in ctrl.plan.assignments if v != 100)
+            if removable:
+                ctrl.remove_tenant(removable[idx % len(removable)])
         elif kind == "snapshot":
             ctrl.snapshot()
+            assert_checkpoint_is_intent(ctrl)
 
 
 def run_scenario(ops, crash_at):
@@ -123,6 +165,10 @@ class TestJournalEquivalence:
         assert live == replayed
         # After recovery the gateways converge back onto the intent.
         assert recovered.consistency_check(cluster_id) == []
+        # A checkpoint after the crash folds a tail that may hold an
+        # unterminated txn; it still equals the recovered intent.
+        recovered.snapshot()
+        assert_checkpoint_is_intent(recovered)
 
     @given(op_sequences, st.integers(min_value=0, max_value=10))
     @settings(max_examples=25, deadline=None)

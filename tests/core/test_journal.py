@@ -5,6 +5,7 @@ import zlib
 
 import pytest
 
+from repro.core import journal as jm
 from repro.core.journal import (
     Journal,
     JournalCorruption,
@@ -173,6 +174,140 @@ class TestSnapshots:
         assert journal.telemetry()["snapshot_bytes"] == journal.snapshot_bytes
 
 
+def remove_route_op(cluster="A", vni=7, prefix="10.0.0.0/8"):
+    return "remove-route", {"cluster": cluster, "vni": vni, "prefix": prefix}
+
+
+def snapshot_text(journal):
+    """The checkpoint text as ``dump()`` writes it in the SNAP header."""
+    header = journal.dump().split(b"\n", 1)[0].decode()
+    return header.split("|", 2)[2].rsplit("|", 1)[0]
+
+
+class TestCompaction:
+    """``compact()`` folds the verified tail into the keyed checkpoint."""
+
+    def _checkpointed(self, routes, segment_bytes=16384):
+        journal = Journal(segment_bytes=segment_bytes)
+        for i in range(routes):
+            journal.append(*route_op(vni=i, prefix=f"10.{i % 250}.0.0/16"))
+        journal.append("add-tenant", {"vni": 1, "cluster": "A", "profile": {
+            "vni": 1, "routes": 1, "vms": 0, "traffic_bps": 1.0}})
+        journal.snapshot(journal.materialize())
+        return journal
+
+    @staticmethod
+    def _tail(journal):
+        """A fixed tail: 12 keys written, 4 of them removed again,
+        3 checkpointed keys removed, one replaced."""
+        for i in range(8):
+            journal.append(*route_op(vni=900 + i, prefix="172.16.0.0/24"))
+        for i in range(4):
+            journal.append(*vm_op(vni=900 + i))
+        for i in range(4):
+            journal.append(*remove_route_op(vni=900 + i, prefix="172.16.0.0/24"))
+        for i in range(3):
+            journal.append(*remove_route_op(vni=i, prefix=f"10.{i}.0.0/16"))
+        journal.append(*route_op(vni=5, prefix="10.5.0.0/16", scope="internet"))
+
+    def test_compact_equals_a_fresh_snapshot(self):
+        journal = self._checkpointed(40)
+        self._tail(journal)
+        txn = journal.append("txn", {"cluster": "B", "ops": [
+            {**route_op(cluster="B")[1], "op": "install-route"}]})
+        journal.append("txn-commit", {"txn_seq": txn.seq})
+        aborted = journal.append("txn", {"cluster": "C", "ops": [
+            {**route_op(cluster="C")[1], "op": "install-route"}]})
+        journal.append("txn-abort", {"txn_seq": aborted.seq})
+        journal.append("xtxn-commit", {"xid": "s00:1"})
+        journal.append("remove-tenant", {"vni": 7, "cluster": "B"})
+        expected = journal.materialize()
+        journal.compact()
+        assert journal.records() == []
+        assert snapshot_text(journal) == canonical_json(expected)
+        assert journal.snapshot_bytes == len(snapshot_text(journal))
+        assert journal.materialize() == expected
+        # The emptied cluster "B" keeps its key, as `_apply` leaves it.
+        assert expected["routes"]["B"] == {} and "C" not in expected["routes"]
+
+    def test_compact_before_any_checkpoint_is_a_genesis_replay(self):
+        journal = Journal()
+        self._tail(journal)
+        expected = journal.materialize()
+        journal.compact()
+        assert snapshot_text(journal) == canonical_json(expected)
+        assert journal.snapshot_bytes == len(snapshot_text(journal))
+
+    def test_fold_renders_only_the_keys_the_tail_names(self, monkeypatch):
+        # Render counts, not timings: with the same tail, a 10x larger
+        # checkpoint costs the fold no extra value render and no render
+        # of the snapshot text.
+        counts = []
+        for routes in (50, 500):
+            journal = self._checkpointed(routes)
+            self._tail(journal)
+            calls = {"value": 0, "map": 0}
+            value_text, render = jm._Checkpoint.value_text, jm._render
+
+            def counting_value_text(checkpoint, value, _calls=calls):
+                _calls["value"] += 1
+                return value_text(checkpoint, value)
+
+            def counting_render(entries, _calls=calls):
+                _calls["map"] += 1
+                return render(entries)
+
+            monkeypatch.setattr(jm._Checkpoint, "value_text", counting_value_text)
+            monkeypatch.setattr(jm, "_render", counting_render)
+            journal.compact()
+            monkeypatch.undo()
+            counts.append(calls)
+        # 8 routes + 4 VMs written, 4 of the routes removed again: 8
+        # survive, plus the replaced checkpoint route.
+        assert counts == [{"value": 9, "map": 0}] * 2
+
+    def test_equal_values_of_other_types_keep_their_own_text(self):
+        # 1 == 1.0 == True in Python; their JSON texts differ, so the
+        # shared value texts must not conflate them, built or folded.
+        journal = Journal()
+        state = empty_state()
+        state["routes"]["A"] = {"1|a": {"x": 1}, "1|b": {"x": True},
+                                "1|c": {"x": 1.0}}
+        journal.snapshot(state)
+        assert snapshot_text(journal) == canonical_json(state)
+        for key, value in (("9|d", True), ("9|e", 1.0), ("9|f", 1)):
+            op, payload = vm_op()
+            journal.append(op, {**payload, "vni": 9, "vm_ip": key[-1],
+                                "binding": {"x": value}})
+        expected = journal.materialize()
+        journal.compact()
+        assert snapshot_text(journal) == canonical_json(expected)
+
+    def test_corrupt_tail_record_leaves_the_journal_untouched(self):
+        journal = self._checkpointed(20, segment_bytes=512)
+        self._tail(journal)
+        seq, segments, dump = journal.snapshot_seq, len(journal.segments), journal.dump()
+        data = journal.segments[-1].data
+        pos = data.rindex(b"internet")
+        data[pos:pos + 8] = b"interNet"
+        corrupted = journal.dump()
+        with pytest.raises(JournalCorruption):
+            journal.compact()
+        assert journal.snapshot_seq == seq
+        assert len(journal.segments) == segments
+        assert journal.dump() == corrupted
+        assert corrupted.split(b"\n", 1)[0] == dump.split(b"\n", 1)[0]
+
+    def test_unknown_op_leaves_the_checkpoint_untouched(self):
+        journal = self._checkpointed(20)
+        self._tail(journal)
+        journal.append("frobnicate", {"x": 1})
+        before = journal.dump()
+        with pytest.raises(JournalError, match="unknown journal op"):
+            journal.compact()
+        assert journal.dump() == before
+
+
 class TestTransactions:
     def _txn(self, journal, commit):
         _op, payload = route_op(vni=42)
@@ -232,6 +367,15 @@ class TestSerialisation:
         crc = zlib.crc32(header.encode()) & 0xFFFFFFFF
         with pytest.raises(json.JSONDecodeError):
             Journal.load(f"{header}|{crc:08x}\n".encode())
+
+    def test_load_rejects_a_snapshot_that_is_not_an_intent_store(self):
+        # Valid CRC, valid JSON, but nothing a checkpoint can be keyed from.
+        for text in ("[]", '{"routes":{}}', '{"routes":{"A":5},"vms":{},'
+                     '"tenants":{},"version":0}'):
+            header = f"SNAP|3|{text}"
+            crc = zlib.crc32(header.encode()) & 0xFFFFFFFF
+            with pytest.raises(JournalCorruption, match="intent store"):
+                Journal.load(f"{header}|{crc:08x}\n".encode())
 
     def test_equal_histories_dump_identically(self):
         assert self._populated().dump() == self._populated().dump()

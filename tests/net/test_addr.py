@@ -207,3 +207,59 @@ class TestPrefix:
         assert (bits, length) == (1, 1)
         bits, length = Prefix.parse("0.0.0.0/0").key_bits()
         assert (bits, length) == (0, 0)
+
+
+def _reference_parse(text):
+    """``Prefix.parse`` as ``ipaddress`` alone would do it."""
+    net = ipaddress.ip_network(text, strict=True)
+    return Prefix(int(net.network_address), net.prefixlen, net.version)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except Exception as exc:  # rejected by ipaddress itself, message and all
+        return type(exc), str(exc)
+
+
+_octet = st.one_of(
+    st.integers(min_value=0, max_value=300).map(str),
+    st.sampled_from(["00", "01", "010", "-0", "-1", "+1", " 1", "1 ", "1_0",
+                     "٣", "１", "", "0x1", "4294967296", "9" * 30]),
+)
+_length = st.one_of(
+    st.integers(min_value=-1, max_value=40).map(str),
+    st.sampled_from(["08", "+8", "-0", " 8", "", "255.255.0.0", "0.0.255.255",
+                     "٨", "8/8", "x"]),
+)
+_v4_like = st.builds(
+    lambda octets, slash, length: ".".join(octets) + (f"/{length}" if slash else ""),
+    st.lists(_octet, min_size=1, max_size=5), st.booleans(), _length)
+_canonical_v4 = st.builds(
+    lambda value, plen: f"{format_ip(value, 4)}/{plen}",
+    st.integers(min_value=0, max_value=(1 << 32) - 1),
+    st.integers(min_value=0, max_value=32))
+
+
+class TestPrefixParseDifferential:
+    """The canonical-IPv4 fast path in ``Prefix.parse`` against
+    ``ipaddress``: the same ``Prefix`` or the same exception (type and
+    message — whatever the fast path declines, ``ipaddress`` decides)."""
+
+    @given(st.one_of(_canonical_v4, _v4_like, st.text(max_size=24)))
+    def test_same_prefix_or_same_exception_type(self, text):
+        assert _outcome(Prefix.parse, text) == _outcome(_reference_parse, text)
+
+    @given(st.integers(min_value=0, max_value=(1 << 128) - 1),
+           st.integers(min_value=0, max_value=128))
+    def test_ipv6_goes_to_ipaddress(self, value, plen):
+        text = str(Prefix.of(value, plen, 6))
+        assert Prefix.parse(text) == _reference_parse(text)
+
+    def test_non_canonical_forms_keep_ipaddress_errors(self):
+        for text in ("10.0.0.1/8", "010.0.0.0/8", "10.0.0.0/33", "256.0.0.0/8",
+                     "-1.0.0.0/8", "10.0.0.0/-1", "10.0.0/8"):
+            outcome = _outcome(Prefix.parse, text)
+            assert outcome[0] is ValueError, text
+            assert outcome == _outcome(_reference_parse, text)
+        assert Prefix.parse("10.0.0.0/255.0.0.0") == Prefix.parse("10.0.0.0/8")
