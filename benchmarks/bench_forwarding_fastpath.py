@@ -100,8 +100,8 @@ def save_artifact(payload):
 def test_fastpath_speedup(benchmark):
     packets = build_workload()
     # This bench measures the *flow-cache* fast path specifically, so
-    # both boxes pin columnar=False (the columnar batch path has its own
-    # bench: bench_columnar_fastpath.py).
+    # both boxes pin columnar=False (the columnar batch path is measured
+    # by bench/'s dp_* workloads).
     cached = XgwX86(gateway_ip=GATEWAY_IP, tables=build_tables(),
                     columnar=False)
     uncached = XgwX86(gateway_ip=GATEWAY_IP, tables=build_tables(),

@@ -12,9 +12,11 @@ leaves ``consistency_check() == []``.
 Three durability mechanisms, mirroring production WAL designs:
 
 * **Checksummed records** — each record is one framed line
-  ``seq|op|payload|crc32``; decoding verifies the CRC so torn or
-  bit-rotten records surface as :class:`JournalCorruption` instead of
-  silently corrupt intent.
+  ``seq|op|payload|crc32``; decoding verifies the CRC so bit-rotten
+  records surface as :class:`JournalCorruption` instead of silently
+  corrupt intent. A final line with no newline is a torn append (the
+  likeliest crash point); it was never pushed, so :meth:`Journal.load`
+  drops it and counts it.
 * **Segment rotation** — records land in bounded segments (default 16
   KiB) so pruning after a snapshot is O(segments), not O(records).
 * **Snapshots** — :meth:`Journal.snapshot` captures the materialised
@@ -491,6 +493,8 @@ class Journal:
         #: records after the snapshot floor) — the operator-facing
         #: "how much work would a recovery do right now" number.
         self.last_replay_records = 0
+        #: Unterminated final records :meth:`load` dropped (0 or 1).
+        self.torn_tail_records = 0
 
     # -- writing ----------------------------------------------------------
 
@@ -584,37 +588,6 @@ class Journal:
         self.last_replay_records = len(records)
         return state
 
-    def verify(self) -> int:
-        """Integrity-check the whole journal; returns records verified.
-
-        Re-decodes every segment (each record's CRC is checked on the
-        way), then asserts the structural invariants an auditor cares
-        about: strictly increasing sequence numbers, every ``txn-commit``
-        / ``txn-abort`` marker resolving to a journalled ``txn`` record,
-        and a final :meth:`materialize` pass proving the tail replays
-        cleanly. Raises :class:`JournalCorruption` / :class:`JournalError`
-        on any violation.
-        """
-        verified = 0
-        prev_seq = self.snapshot_seq
-        txn_seqs = set()
-        for segment in self.segments:
-            for record in segment.decode():
-                if record.seq <= prev_seq:
-                    raise JournalCorruption(
-                        f"sequence regression: {record.seq} after {prev_seq}")
-                prev_seq = record.seq
-                if record.op == "txn":
-                    txn_seqs.add(record.seq)
-                elif record.op in ("txn-commit", "txn-abort"):
-                    if record.payload["txn_seq"] not in txn_seqs:
-                        raise JournalError(
-                            f"{record.op} at seq {record.seq} references "
-                            f"unknown txn {record.payload['txn_seq']}")
-                verified += 1
-        self.materialize()
-        return verified
-
     # -- telemetry --------------------------------------------------------
 
     @property
@@ -667,6 +640,7 @@ class Journal:
             "snapshot_seq": self.snapshot_seq,
             "snapshot_bytes": self.snapshot_bytes,
             "last_replay_records": self.last_replay_records,
+            "torn_tail_records": self.torn_tail_records,
         }
 
     # -- cross-shard resolution -------------------------------------------
@@ -719,10 +693,19 @@ class Journal:
     @classmethod
     def load(cls, data: bytes, segment_bytes: int = 16384) -> "Journal":
         """Rebuild a journal from :meth:`dump` bytes, verifying every
-        checksum; corruption raises :class:`JournalCorruption`."""
+        checksum; corruption raises :class:`JournalCorruption`.
+
+        A final record line with no newline is a torn append: under
+        write-ahead-before-push it was never acknowledged or pushed, so
+        it is dropped and counted in ``torn_tail_records``. A complete
+        line that fails its checksum still raises, wherever it is.
+        """
         journal = cls(segment_bytes=segment_bytes)
         journal.segments = []
         lines = data.split(b"\n")
+        if len(lines) > 1 and lines[-1]:
+            lines.pop()
+            journal.torn_tail_records = 1
         if not lines or not lines[0].startswith(b"SNAP|"):
             raise JournalCorruption("missing SNAP header")
         header_text = lines[0].decode("utf-8")
@@ -758,6 +741,10 @@ class Journal:
             record = JournalRecord.decode(raw + b"\n")
             segment.add(record, record.encode())
             top_seq = max(top_seq, record.seq)
+        if len(journal.segments) > 1 and not journal.segments[-1].data:
+            # Appends never leave an empty segment behind a full one: the
+            # record that opened this one was cut off.
+            journal.segments.pop()
         if not journal.segments:
             journal.segments = [Segment(0)]
         journal.next_seq = top_seq + 1

@@ -6,18 +6,11 @@ See DESIGN.md §13. Entry points:
   struct-of-arrays form;
 * :class:`~repro.dataplane.columnar.compiler.BatchCompiler` — lowers a
   gateway's placed program into a :class:`~repro.dataplane.columnar.
-  compiler.CompiledProgram` executed over whole batches;
-* :func:`~repro.dataplane.columnar.backend.resolve_backend` — numpy or
-  pure-python column storage (numpy is the optional ``fast`` extra).
+  compiler.CompiledProgram` executed over whole batches.
 """
 
-from .backend import (
-    BACKEND_ENV,
-    NumpyBackend,
-    PythonBackend,
-    numpy_available,
-    resolve_backend,
-)
+from types import SimpleNamespace
+
 from .batch import PacketBatch
 from .compiler import (
     BatchCompiler,
@@ -28,17 +21,29 @@ from .compiler import (
     KeyDecision,
 )
 
+_COLUMN_STORE = SimpleNamespace(name="python")
+
+
+def resolve_backend():
+    """The column store, for the bench fingerprint's ``backend`` key.
+
+    Columns are plain python lists; there is no other store and no
+    numpy. The bench fingerprint is the only caller, and this function
+    goes once a benchmark change makes that key a constant.
+
+    >>> resolve_backend().name
+    'python'
+    """
+    return _COLUMN_STORE
+
+
 __all__ = [
-    "BACKEND_ENV",
     "BatchCompiler",
     "BatchTally",
     "CompiledAcl",
     "CompiledProgram",
     "Contribution",
     "KeyDecision",
-    "NumpyBackend",
     "PacketBatch",
-    "PythonBackend",
-    "numpy_available",
     "resolve_backend",
 ]

@@ -1,10 +1,11 @@
 """Struct-of-arrays packet bursts for the columnar data plane.
 
 A :class:`PacketBatch` shreds a burst of :class:`~repro.net.packet.Packet`
-objects into parallel columns — VNI, inner src/dst (as 64-bit halves),
-protocol, ports, IP version and wire length — once, so the compiled
-program (:mod:`repro.dataplane.columnar.compiler`) can run match-action
-steps over whole arrays instead of interpreting one packet at a time.
+objects into parallel columns — plain lists of the inner src/dst,
+protocol and ports, plus each lane's ``(VNI, inner dst, version)`` key
+and wire length — once, so the compiled program
+(:mod:`repro.dataplane.columnar.compiler`) can run match-action steps
+over whole columns instead of interpreting one packet at a time.
 
 The batch also carries burst-level aggregates that are *program
 independent* (they depend only on the packets): the unique
@@ -17,11 +18,10 @@ scatter-gathers results by lane index and caches aggregates keyed on
 the packet list.
 
 >>> from repro.workloads.traffic import build_vxlan_packet
->>> from repro.dataplane.columnar.backend import resolve_backend
 >>> pkts = [build_vxlan_packet(vni=7, src_ip=1, dst_ip=2)]
->>> batch = PacketBatch.from_packets(pkts, resolve_backend("python"))
->>> batch.n, batch.vxlan_count, batch.keys[0]
-(1, 1, (7, 2, 4))
+>>> batch = PacketBatch.from_packets(pkts)
+>>> batch.n, batch.vxlan_count, batch.keys[0], batch.dst_list
+(1, 1, (7, 2, 4), [2])
 """
 
 from __future__ import annotations
@@ -30,26 +30,20 @@ from typing import List, Optional, Sequence
 
 from ...net.headers import ETH_LEN, UDP_LEN, VXLAN_LEN
 from ...net.packet import Packet
-from .backend import resolve_backend
 
 #: Fixed wire bytes of a VXLAN packet outside the two IP headers, the
 #: inner L4 and the inner payload: outer Ethernet + outer UDP + VXLAN
 #: header + inner Ethernet (mirrors ``Packet.wire_length`` exactly).
 _VXLAN_FIXED_LEN = ETH_LEN + UDP_LEN + VXLAN_LEN + ETH_LEN
 
-_MASK64 = (1 << 64) - 1
-
 
 class PacketBatch:
     """One burst of packets in struct-of-arrays form."""
 
     __slots__ = (
-        "packets", "n", "backend", "keys", "sizes",
+        "packets", "n", "keys", "sizes",
         "vxlan_count", "nonvxlan_lanes",
-        # numpy columns (vectorized backends only; None otherwise)
-        "vni_col", "src_hi", "src_lo", "dst_hi", "dst_lo",
-        "proto_col", "sport_col", "dport_col", "vxlan_mask",
-        # python lists (scalar ACL fallback; None on vectorized backends)
+        # the ACL classifier's columns, one entry per lane
         "src_list", "dst_list", "proto_list", "sport_list", "dport_list",
         # lazy burst aggregates
         "_key_index", "_lanes_by_vni",
@@ -59,26 +53,20 @@ class PacketBatch:
         raise TypeError("use PacketBatch.from_packets()")
 
     @classmethod
-    def from_packets(cls, packets: Sequence[Packet], backend=None) -> "PacketBatch":
-        """Shred *packets* into columns under *backend* (default resolved
-        per :func:`repro.dataplane.columnar.backend.resolve_backend`)."""
-        if backend is None:
-            backend = resolve_backend()
+    def from_packets(cls, packets: Sequence[Packet]) -> "PacketBatch":
+        """Shred *packets* into columns."""
         self = object.__new__(cls)
         packets = list(packets)
         self.packets = packets
         self.n = len(packets)
-        self.backend = backend
         keys: List[Optional[tuple]] = []
         sizes: List[int] = []
         nonvxlan: List[int] = []
-        vnis: List[int] = []
         srcs: List[int] = []
         dsts: List[int] = []
         protos: List[int] = []
         sports: List[int] = []
         dports: List[int] = []
-        is_vx: List[bool] = []
         keys_append = keys.append
         sizes_append = sizes.append
         for i, p in enumerate(packets):
@@ -93,13 +81,11 @@ class PacketBatch:
                     keys_append(None)
                     sizes_append(0)
                     nonvxlan.append(i)
-                    vnis.append(0)
                     srcs.append(0)
                     dsts.append(0)
                     protos.append(0)
                     sports.append(0)
                     dports.append(0)
-                    is_vx.append(False)
                     continue
                 inner = p.inner
                 iip = inner.ip
@@ -119,40 +105,20 @@ class PacketBatch:
                     dport = l4.dst_port
             keys_append((vni, dst, version))
             sizes_append(size)
-            vnis.append(vni)
             srcs.append(src)
             dsts.append(dst)
             protos.append(proto)
             sports.append(sport)
             dports.append(dport)
-            is_vx.append(True)
         self.keys = keys
         self.sizes = sizes
         self.nonvxlan_lanes = nonvxlan
         self.vxlan_count = self.n - len(nonvxlan)
-        if backend.vectorized:
-            np = backend.np
-            self.vni_col = backend.i64(vnis)
-            self.src_hi = backend.u64([s >> 64 for s in srcs])
-            self.src_lo = backend.u64([s & _MASK64 for s in srcs])
-            self.dst_hi = backend.u64([d >> 64 for d in dsts])
-            self.dst_lo = backend.u64([d & _MASK64 for d in dsts])
-            self.proto_col = backend.i64(protos)
-            self.sport_col = backend.i64(sports)
-            self.dport_col = backend.i64(dports)
-            self.vxlan_mask = np.array(is_vx, dtype=bool)
-            self.src_list = self.dst_list = None
-            self.proto_list = self.sport_list = self.dport_list = None
-        else:
-            self.vni_col = self.src_hi = self.src_lo = None
-            self.dst_hi = self.dst_lo = None
-            self.proto_col = self.sport_col = self.dport_col = None
-            self.vxlan_mask = None
-            self.src_list = srcs
-            self.dst_list = dsts
-            self.proto_list = protos
-            self.sport_list = sports
-            self.dport_list = dports
+        self.src_list = srcs
+        self.dst_list = dsts
+        self.proto_list = protos
+        self.sport_list = sports
+        self.dport_list = dports
         self._key_index = None
         self._lanes_by_vni = None
         return self

@@ -15,11 +15,9 @@ array operations instead of ALUs:
    generation moves. Each decision also carries its tally
    :class:`Contribution`, so a burst is first tallied with one integer
    add per key.
-2. **classify** — the ACL table becomes a :class:`CompiledAcl`: on the
-   numpy backend each rule is one predicate mask ANDed from per-column
-   compares (128-bit addresses split into two uint64 half-compares) and
-   applied first-match over the still-undecided lanes; the pure-python
-   backend runs :meth:`CompiledAcl.first_match` lane by lane.
+2. **classify** — the ACL table becomes a :class:`CompiledAcl`, whose
+   :meth:`~CompiledAcl.first_match` runs lane by lane over the batch's
+   columns.
 3. **meter** — per-key token buckets charge their lanes as one run in
    lane order (bucket state depends only on its own ordered charge
    sequence); VNIs with no bucket settle GREEN in a single update.
@@ -42,14 +40,12 @@ byte-identical state vs the scalar oracle (property-tested in
 a time, for a tier that forwards packet by packet (the DPU).
 
 >>> from repro.dataplane.gateway_logic import GatewayTables
->>> from repro.dataplane.columnar.backend import resolve_backend
 >>> from repro.dataplane.columnar.batch import PacketBatch
 >>> from repro.workloads.traffic import build_vxlan_packet
 >>> tables = GatewayTables()
 >>> program = BatchCompiler(tables, gateway_ip=0x0A0000FE).compile()
 >>> batch = PacketBatch.from_packets(
-...     [build_vxlan_packet(vni=9, src_ip=1, dst_ip=2)],
-...     resolve_backend("python"))
+...     [build_vxlan_packet(vni=9, src_ip=1, dst_ip=2)])
 >>> results, tally = program.execute(batch)
 >>> results[0].detail, tally.drop_details
 ('no-route', {'no-route': 1})
@@ -76,8 +72,6 @@ _REDIRECT = ForwardAction.REDIRECT_X86
 _UPLINK = ForwardAction.UPLINK
 _DENY = AclVerdict.DENY
 _RED = MeterColor.RED
-
-_MASK64 = (1 << 64) - 1
 
 #: Per-lane fate codes assigned by the per-packet stages. 0 keeps the
 #: lane on its key decision; the rest are per-packet drops that must
@@ -197,15 +191,11 @@ class KeyDecision:
 
 
 class CompiledAcl:
-    """The ACL table lowered to first-match predicate masks.
+    """The ACL table lowered to a first-match scan.
 
-    On a vectorized backend each rule becomes one boolean mask built
-    from per-column compares; DENY masks accumulate, every matched lane
-    leaves the undecided set (first-match). The pure-python backend
-    runs :meth:`first_match` lane by lane, the function a one-lane entry
-    calls too. Both return ``(deny_lanes, matched)`` with *matched*
-    equal to the number of lanes any rule claimed — the table's
-    ``matched`` telemetry.
+    :meth:`classify` runs :meth:`first_match` lane by lane over a
+    batch's columns, the function a one-lane entry calls too, so both
+    charge ``acl.lookups``/``matched`` as the scalar walk does.
     """
 
     __slots__ = ("rules", "default_deny")
@@ -239,58 +229,9 @@ class CompiledAcl:
         return None
 
     def classify(self, batch: PacketBatch) -> Tuple[List[int], int]:
-        if batch.backend.vectorized:
-            return self._classify_vector(batch)
-        return self._classify_lanes(batch)
-
-    def _classify_vector(self, batch: PacketBatch) -> Tuple[List[int], int]:
-        np = batch.backend.np
-        u64 = np.uint64
-        undecided = batch.vxlan_mask.copy()
-        deny = None
-        for rule in self.rules:
-            m = undecided
-            if rule.vni is not None:
-                m = m & (batch.vni_col == rule.vni)
-            net = rule.src_net
-            if net is not None:
-                network, mask = net
-                # (addr & mask) == network decomposes exactly into the
-                # two uint64 halves (bitwise AND has no carries).
-                m = (m
-                     & ((batch.src_hi & u64((mask >> 64) & _MASK64))
-                        == u64((network >> 64) & _MASK64))
-                     & ((batch.src_lo & u64(mask & _MASK64))
-                        == u64(network & _MASK64)))
-            net = rule.dst_net
-            if net is not None:
-                network, mask = net
-                m = (m
-                     & ((batch.dst_hi & u64((mask >> 64) & _MASK64))
-                        == u64((network >> 64) & _MASK64))
-                     & ((batch.dst_lo & u64(mask & _MASK64))
-                        == u64(network & _MASK64)))
-            if rule.proto is not None:
-                m = m & (batch.proto_col == rule.proto)
-            ports = rule.src_ports
-            if ports is not None:
-                m = m & (batch.sport_col >= ports[0]) & (batch.sport_col <= ports[1])
-            ports = rule.dst_ports
-            if ports is not None:
-                m = m & (batch.dport_col >= ports[0]) & (batch.dport_col <= ports[1])
-            if rule.verdict is AclVerdict.DENY:
-                deny = m if deny is None else (deny | m)
-            undecided = undecided & ~m
-            if not undecided.any():
-                break
-        matched = batch.vxlan_count - int(np.count_nonzero(undecided))
-        if self.default_deny:
-            deny = undecided if deny is None else (deny | undecided)
-        if deny is None or not deny.any():
-            return [], matched
-        return np.nonzero(deny)[0].tolist(), matched
-
-    def _classify_lanes(self, batch: PacketBatch) -> Tuple[List[int], int]:
+        """``(deny_lanes, matched)`` for a burst: the VXLAN lanes the
+        ACL drops, and how many lanes any rule claimed (the table's
+        ``matched`` telemetry)."""
         deny_lanes: List[int] = []
         deny_append = deny_lanes.append
         matched = 0

@@ -10,7 +10,7 @@ folded — the paper measures 2.173–2.306 µs).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional
 
 from ..net.packet import Packet
 from .memory import NUM_PIPELINES, STAGES_PER_PIPELINE
@@ -92,34 +92,6 @@ class Chip:
         if result.verdict.value == "drop":
             self.packets_dropped += 1
         return result
-
-    def process_batch(self, packets: Sequence[Packet],
-                      entry_pipeline: Optional[int] = None) -> List[Traversal]:
-        """Forward a burst; the entry-pipeline check runs once per batch.
-
-        Every packet still traverses the fabric individually — the chip
-        is line-rate by construction, so batching here only trims the
-        Python call overhead for simulation-side callers.
-        """
-        entries = self.fabric.entry_pipelines()
-        if entry_pipeline is None:
-            entry_pipeline = entries[0]
-        if entry_pipeline not in entries:
-            raise ValueError(
-                f"pipeline {entry_pipeline} is not an entry pipeline (folded={self.folded})"
-            )
-        fabric_process = self.fabric.process
-        results: List[Traversal] = []
-        append = results.append
-        dropped = 0
-        for packet in packets:
-            result = fabric_process(packet, entry_pipeline)
-            if result.verdict.value == "drop":
-                dropped += 1
-            append(result)
-        self.packets_in += len(results)
-        self.packets_dropped += dropped
-        return results
 
     # -- performance model --------------------------------------------------
 

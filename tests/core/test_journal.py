@@ -387,6 +387,37 @@ class TestSerialisation:
         with pytest.raises(JournalCorruption):
             Journal.load(bytes(data))
 
+    @staticmethod
+    def _five(appends=5, segment_bytes=16384):
+        journal = Journal(segment_bytes=segment_bytes)
+        for i in range(appends):
+            journal.append(*route_op(vni=i))
+        return journal
+
+    def test_load_drops_a_torn_final_record(self):
+        # A crash mid-append leaves the last line without its newline.
+        # Under WAL-before-push it was never pushed, so loading drops it.
+        # Second case: the torn record is the one that opened a segment.
+        four = len(self._five(appends=4).segments[0].data)
+        for segment_bytes, segments in ((16384, 1), (four, 2)):
+            data = self._five(segment_bytes=segment_bytes).dump()
+            want = self._five(4, segment_bytes).dump()
+            assert len(self._five(segment_bytes=segment_bytes).segments) == segments
+            last = len(self._five().records()[-1].encode())
+            for cut in range(1, last):
+                loaded = Journal.load(data[:-cut], segment_bytes=segment_bytes)
+                assert loaded.dump() == want, (segment_bytes, cut)
+                assert loaded.telemetry()["torn_tail_records"] == 1
+                assert loaded.append(*route_op(vni=9)).seq == 4
+            assert Journal.load(data).telemetry()["torn_tail_records"] == 0
+
+    def test_a_torn_tail_does_not_excuse_a_corrupted_record(self):
+        data = bytearray(self._five().dump())
+        pos = data.index(b'"vni":1')
+        data[pos:pos + 7] = b'"vni":2'
+        with pytest.raises(JournalCorruption, match="checksum mismatch"):
+            Journal.load(bytes(data[:-5]))
+
     def test_load_rejects_missing_header(self):
         with pytest.raises(JournalCorruption, match="SNAP"):
             Journal.load(b"SEG|0\n")

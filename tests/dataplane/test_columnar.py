@@ -1,28 +1,27 @@
 """Unit tests for the columnar batch data plane (DESIGN §13).
 
-Covers backend selection (numpy vs pure-python, env override), the
-struct-of-arrays :class:`PacketBatch` and its lazy burst aggregates, the
-compiled ACL classifier against the scalar table on both backends,
+Covers the struct-of-arrays :class:`PacketBatch` and its lazy burst
+aggregates, the compiled ACL classifier against the scalar table,
 generation-vector invalidation of compiled programs, and an XGW-H
 columnar-vs-scalar differential over mixed bursts (results, stats, drop
 counters, per-pipe tallies, bridge bytes, table counters and meters).
 """
 
 import ipaddress
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.dataplane.columnar import (
     BatchCompiler,
     CompiledAcl,
     PacketBatch,
-    PythonBackend,
-    NumpyBackend,
-    numpy_available,
     resolve_backend,
 )
-from repro.dataplane.columnar import backend as backend_mod
 from repro.core.xgw_h import XgwH
 from repro.dataplane.gateway_logic import ForwardAction, GatewayTables, forward, vni_key
 from repro.dataplane.migration import ensure_migration_state
@@ -45,12 +44,16 @@ def ip(text):
     return int(ipaddress.ip_address(text))
 
 
-BACKENDS = [
-    pytest.param("python", id="python"),
-    pytest.param("numpy", id="numpy",
-                 marks=pytest.mark.skipif(not numpy_available(),
-                                          reason="numpy not installed")),
-]
+def test_the_data_plane_loads_no_numpy():
+    """The library is stdlib only: importing the gateways and the batch
+    data plane in a fresh interpreter leaves numpy unloaded (it used to
+    be an optional column store costing ~13 MB of resident memory)."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    code = ("import sys, repro, repro.x86.gateway, repro.core.xgw_h, "
+            "repro.dataplane.columnar; print('numpy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
 
 
 def plain_packet(src=ip("10.9.0.1"), dst=ip("10.9.0.2")):
@@ -63,38 +66,18 @@ def plain_packet(src=ip("10.9.0.1"), dst=ip("10.9.0.2")):
 
 
 class TestBackendResolution:
+    """One column store: the bench fingerprint's ``backend`` key is a
+    constant, and no name selects another store."""
+
     def test_explicit_python(self):
-        b = resolve_backend("python")
-        assert isinstance(b, PythonBackend)
-        assert not b.vectorized
-
-    @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
-    def test_explicit_numpy(self):
-        b = resolve_backend("numpy")
-        assert isinstance(b, NumpyBackend)
-        assert b.vectorized
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(backend_mod.BACKEND_ENV, "python")
-        assert isinstance(resolve_backend(), PythonBackend)
+        assert resolve_backend().name == "python"
+        assert resolve_backend() is resolve_backend()
 
     def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError, match="unknown columnar backend"):
+        with pytest.raises(TypeError):
             resolve_backend("fortran")
 
-    def test_default_prefers_numpy_when_importable(self, monkeypatch):
-        monkeypatch.delenv(backend_mod.BACKEND_ENV, raising=False)
-        b = resolve_backend()
-        assert isinstance(b, NumpyBackend if numpy_available() else PythonBackend)
 
-    def test_numpy_backend_requires_numpy(self, monkeypatch):
-        monkeypatch.setattr(backend_mod, "_np", None)
-        assert not numpy_available()
-        with pytest.raises(RuntimeError, match="numpy backend requested"):
-            NumpyBackend()
-
-
-@pytest.mark.parametrize("backend_name", BACKENDS)
 class TestPacketBatch:
     @staticmethod
     def mixed_burst():
@@ -108,9 +91,9 @@ class TestPacketBatch:
                                dst_ip=ip("192.168.0.2")),
         ]
 
-    def test_shape_and_keys(self, backend_name):
+    def test_shape_and_keys(self):
         packets = self.mixed_burst()
-        batch = PacketBatch.from_packets(packets, resolve_backend(backend_name))
+        batch = PacketBatch.from_packets(packets)
         assert batch.n == 4
         assert batch.vxlan_count == 3
         assert batch.nonvxlan_lanes == [1]
@@ -120,20 +103,12 @@ class TestPacketBatch:
         for lane, p in enumerate(packets):
             if p.is_vxlan:
                 assert batch.sizes[lane] == p.wire_length()
-        if batch.backend.vectorized:
-            assert batch.src_list is None
-            assert list(batch.vni_col) == [7, 0, 8, 7]
-            assert list(batch.vxlan_mask) == [True, False, True, True]
-            assert list(batch.dst_lo) == [ip("192.168.0.2"), 0,
-                                          ip("192.168.0.4"), ip("192.168.0.2")]
-        else:
-            assert batch.vni_col is None
-            assert batch.dst_list == [ip("192.168.0.2"), 0,
-                                      ip("192.168.0.4"), ip("192.168.0.2")]
+        assert batch.dst_list == [ip("192.168.0.2"), 0,
+                                  ip("192.168.0.4"), ip("192.168.0.2")]
 
-    def test_key_index_aggregates(self, backend_name):
+    def test_key_index_aggregates(self):
         packets = self.mixed_burst()
-        batch = PacketBatch.from_packets(packets, resolve_backend(backend_name))
+        batch = PacketBatch.from_packets(packets)
         unique_keys, inverse, uniq_counts, uniq_bytes, per_vni = batch.key_index()
         assert unique_keys == [(7, ip("192.168.0.2"), 4),
                               (8, ip("192.168.0.4"), 4)]
@@ -145,21 +120,19 @@ class TestPacketBatch:
         # Cached: a second call returns the same tuple object.
         assert batch.key_index() is batch._key_index
 
-    def test_lanes_by_vni(self, backend_name):
-        batch = PacketBatch.from_packets(self.mixed_burst(),
-                                         resolve_backend(backend_name))
+    def test_lanes_by_vni(self):
+        batch = PacketBatch.from_packets(self.mixed_burst())
         assert batch.lanes_by_vni() == {7: [0, 3], 8: [2]}
 
-    def test_direct_construction_rejected(self, backend_name):
+    def test_direct_construction_rejected(self):
         with pytest.raises(TypeError, match="from_packets"):
             PacketBatch()
 
 
-@pytest.mark.parametrize("backend_name", BACKENDS)
 class TestCompiledAcl:
     """The compiled classifier against the scalar AclTable, rule for
     rule: same first-match semantics, same deny set, same matched
-    telemetry, on both backends."""
+    telemetry."""
 
     RULES = [
         AclRule(priority=5, verdict=AclVerdict.PERMIT, vni=7,
@@ -186,12 +159,12 @@ class TestCompiledAcl:
         return packets
 
     @pytest.mark.parametrize("default", [AclVerdict.PERMIT, AclVerdict.DENY])
-    def test_matches_scalar_table(self, backend_name, default):
+    def test_matches_scalar_table(self, default):
         table = AclTable(default_verdict=default)
         for rule in self.RULES:
             table.insert(rule)
         packets = self.burst()
-        batch = PacketBatch.from_packets(packets, resolve_backend(backend_name))
+        batch = PacketBatch.from_packets(packets)
         compiled = CompiledAcl(table.rules(), default is AclVerdict.DENY)
         deny_lanes, matched = compiled.classify(batch)
         want_deny, want_matched = [], 0
@@ -312,15 +285,13 @@ def hw_burst(rng, n=50):
     return packets
 
 
-@pytest.mark.parametrize("backend_name", BACKENDS)
 class TestXgwHColumnarDifferential:
     """XGW-H columnar bursts vs the per-packet fabric simulation: every
     observable — results, stats, drop counters, chip tallies, per-pipe
     packet counts, bridged bytes, table counters, meter colors — must be
     identical."""
 
-    def test_matches_fabric_simulation(self, backend_name):
-        backend = resolve_backend(backend_name)
+    def test_matches_fabric_simulation(self):
         col = make_hw_gateway(columnar=True)
         oracle = make_hw_gateway(columnar=False)
         assert col._batch_compiler is not None
@@ -331,7 +302,7 @@ class TestXgwHColumnarDifferential:
             now += 0.02
             packets = hw_burst(rng)
             got_list = col.forward_batch(
-                PacketBatch.from_packets(packets, backend), now)
+                PacketBatch.from_packets(packets), now)
             want_list = oracle.forward_batch(packets, now)
             for got, want in zip(got_list, want_list):
                 assert got.action is want.action
@@ -437,9 +408,7 @@ class TestWireImageStaysLazy:
                       snat=SnatTable(public_ips=[ip("203.0.113.9")]),
                       columnar=columnar)
 
-    @pytest.mark.parametrize("backend_name", BACKENDS)
-    def test_forward_batch_then_to_bytes(self, backend_name, monkeypatch):
-        monkeypatch.setenv(backend_mod.BACKEND_ENV, backend_name)
+    def test_forward_batch_then_to_bytes(self):
         frames = wire_frames(seed=5)
         packets = [Packet.from_bytes(f) for f in frames]
         results = self.x86().forward_batch(packets, now=0.5)

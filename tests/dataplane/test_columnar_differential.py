@@ -13,17 +13,15 @@ byte-identical :class:`ForwardResult`s, and at the end of the
 interleaving the gateway counter sets (including every per-reason
 ``drop_*`` counter), the tenant counter table, the ACL telemetry, the
 meter color tallies and the SNAT sessions, contexts and request/failure
-counts must all agree exactly. Both columnar backends (numpy and
-pure-python) run the same interleavings, half the packets as wire images.
+counts must all agree exactly. Half the packets are wire images.
 """
 
 import ipaddress
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dataplane.columnar import PacketBatch, numpy_available, resolve_backend
+from repro.dataplane.columnar import PacketBatch
 from repro.dataplane.gateway_logic import GatewayTables, vni_key
 from repro.net.addr import Prefix
 from repro.net.headers import ETHERTYPE_IPV4, Ethernet, IPv4, PROTO_UDP, UDP
@@ -72,7 +70,7 @@ route_actions = st.one_of(
     st.just(RouteAction(Scope.INTERNET)),
 )
 
-# Host-exact and /24 networks so the vectorized mask compares see both
+# Host-exact and /24 networks so the ACL's masked compares see both
 # full and partial care-bits.
 nets = st.one_of(
     st.none(),
@@ -142,11 +140,11 @@ def apply_mutation(tables, op):
     return None
 
 
-def flush(col_gw, oracle_gw, pending, backend, now, step):
+def flush(col_gw, oracle_gw, pending, now, step):
     """Forward the pending burst through both paths and compare."""
     if not pending:
         return
-    batch = PacketBatch.from_packets(pending, backend)
+    batch = PacketBatch.from_packets(pending)
     got_list = col_gw.forward_batch(batch, now)
     want_list = [oracle_gw.forward(p, now) for p in pending]
     for lane, (got, want) in enumerate(zip(got_list, want_list)):
@@ -159,19 +157,9 @@ def flush(col_gw, oracle_gw, pending, backend, now, step):
     pending.clear()
 
 
-BACKENDS = [
-    pytest.param("python", id="python"),
-    pytest.param("numpy", id="numpy",
-                 marks=pytest.mark.skipif(not numpy_available(),
-                                          reason="numpy not installed")),
-]
-
-
-@pytest.mark.parametrize("backend_name", BACKENDS)
 @settings(max_examples=250, deadline=None)
 @given(op_list=st.lists(ops, min_size=1, max_size=40))
-def test_columnar_batches_match_scalar_oracle(backend_name, op_list):
-    backend = resolve_backend(backend_name)
+def test_columnar_batches_match_scalar_oracle(op_list):
     col_tables = GatewayTables()
     oracle_tables = GatewayTables()
     public_ips = [ip("203.0.113.1")]
@@ -197,16 +185,16 @@ def test_columnar_batches_match_scalar_oracle(backend_name, op_list):
         elif kind == "plain":
             pending.append(build_plain_packet(op[1], op[2]))
         elif kind == "flush":
-            flush(col_gw, oracle_gw, pending, backend, now, step)
+            flush(col_gw, oracle_gw, pending, now, step)
         else:
             # A batch sees one table snapshot: settle the pending burst
             # before mutating (the mutation bumps the generation vector,
             # which must force a recompile on the next flush).
-            flush(col_gw, oracle_gw, pending, backend, now, step)
+            flush(col_gw, oracle_gw, pending, now, step)
             outcome_a = apply_mutation(col_tables, op)
             outcome_b = apply_mutation(oracle_tables, op)
             assert outcome_a == outcome_b, (step, op)
-    flush(col_gw, oracle_gw, pending, backend, now + 0.001, len(op_list))
+    flush(col_gw, oracle_gw, pending, now + 0.001, len(op_list))
     # Both sides saw identical traffic: every observable stateful layer
     # must agree — gateway counters (rx, per-action, per-reason drop_*),
     # tenant counters, ACL telemetry and meter colors.

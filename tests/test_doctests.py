@@ -14,7 +14,7 @@ import repro.audit.sampling
 import repro.audit.scanner
 import repro.cluster.ecmp
 import repro.core.compression
-import repro.dataplane.columnar.backend
+import repro.dataplane.columnar
 import repro.dataplane.columnar.batch
 import repro.dataplane.columnar.compiler
 import repro.dataplane.flowcache
@@ -74,7 +74,7 @@ MODULES = [
     repro.tables.snat,
     repro.tables.vm_nc,
     repro.tables.vxlan_routing,
-    repro.dataplane.columnar.backend,
+    repro.dataplane.columnar,
     repro.dataplane.columnar.batch,
     repro.dataplane.columnar.compiler,
     repro.dataplane.flowcache,
